@@ -6,7 +6,8 @@ report to ``BENCH_kernels.json`` at the repo root, and enforces two
 gates:
 
 - the factorization cache must be *reused* during the end-to-end run
-  (at least one hit per distinct thermal configuration),
+  (at least one hit per distinct thermal configuration), and the
+  block->mesh map cache may miss at most once per distinct geometry,
 - with ``REPRO_KERNELS_ASSERT_SPEEDUP=1`` on a multi-core machine, the
   end-to-end run must be at least 2x faster than the reference paths,
   its warm-artifact rerun at least 5x faster than the cold reference,
@@ -79,6 +80,15 @@ def test_kernel_benchmarks(report):
     assert end_to_end["cache_hits"] >= end_to_end["power_loop_iterations"] - (
         end_to_end["cache_misses"]
     ), "factorization cache missed a repeat solve"
+    # Each iteration reuses the block->mesh map of its geometry: one miss
+    # per distinct (mesh, block rectangles) key, never a rebuild.
+    for name, entry in (
+        ("end_to_end", end_to_end),
+        ("power_thermal_sweep", results["micro"]["power_thermal_sweep"]),
+    ):
+        assert entry["map_misses"] <= entry["map_geometries"], (
+            f"{name}: block->mesh map rebuilt for a known geometry"
+        )
 
     if not _assert_speedups():
         report.line("speedup gates: skipped (REPRO_KERNELS_ASSERT_SPEEDUP off)")

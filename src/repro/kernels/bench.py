@@ -48,7 +48,11 @@ from repro.kernels.artifacts import use_artifacts
 from repro.kernels.config import use_fast_paths
 from repro.power.activity import ActivityProfile
 from repro.power.loop import solve_power_thermal
-from repro.thermal.factor_cache import clear_factor_cache, factor_cache_stats
+from repro.thermal.factor_cache import (
+    clear_factor_cache,
+    factor_cache_stats,
+    mesh_map_stats,
+)
 from repro.thermal.grid import PackageModel
 from repro.thermal.hotspot import HotSpotLite
 from repro.thermal.solver import (
@@ -151,7 +155,22 @@ def _bench_power_thermal(
         profiles=len(profiles),
         cache_hits=stats["hits"],
         cache_misses=stats["misses"],
+        **_map_counts(),
     )
+
+
+def _map_counts() -> dict[str, int]:
+    """Block→mesh map reuse since the last cache clear.
+
+    Both power-thermal benchmarks solve one design on one mesh, so every
+    activity mode and iteration shares a single map geometry.
+    """
+    stats = mesh_map_stats()
+    return {
+        "map_hits": stats["hits"],
+        "map_misses": stats["misses"],
+        "map_geometries": 1,
+    }
 
 
 def _bench_ensemble(
@@ -415,6 +434,7 @@ def _bench_end_to_end(
                 info = run()
                 fast = time.perf_counter() - start
                 stats = factor_cache_stats()
+                maps = _map_counts()
                 start = time.perf_counter()
                 run()
                 warm = time.perf_counter() - start
@@ -424,6 +444,7 @@ def _bench_end_to_end(
         power_loop_iterations=info["iterations"],
         cache_hits=stats["hits"],
         cache_misses=stats["misses"],
+        **maps,
     )
     warm_entry = _entry(
         ref, warm, power_loop_iterations=info["iterations"]
@@ -527,4 +548,9 @@ def format_kernel_report(results: dict[str, Any]) -> str:
         f"{e2e['cache_misses']} misses over "
         f"{e2e['power_loop_iterations']} power-loop iterations",
     ]
+    if "map_hits" in e2e:
+        lines.append(
+            f"block->mesh map (end-to-end): {e2e['map_hits']} hits / "
+            f"{e2e['map_misses']} misses over {e2e['map_geometries']} geometry"
+        )
     return "\n".join(lines)

@@ -79,15 +79,24 @@ def solve_power_thermal(
     temperatures = np.full(
         floorplan.n_blocks, thermal_model.package.ambient_temperature
     )
-    current = floorplan
-    thermal: ThermalResult | None = None
     with span("thermal.power_loop", blocks=floorplan.n_blocks) as loop_span:
         for iteration in range(1, max_iterations + 1):
             powers = power_model.floorplan_powers(
                 floorplan, profile, temperatures
             )
-            current = floorplan.with_powers(powers)
-            thermal = thermal_model.analyze(current)
+            # Iterate on the power vector: the floorplan (and with it the
+            # block→mesh map) is the same every iteration, so it is only
+            # rebuilt with the converged powers below.
+            power_vector = np.fromiter(
+                powers.values(), dtype=float, count=floorplan.n_blocks
+            )
+            if not np.all(np.isfinite(power_vector)):
+                raise SolverError(
+                    "power-thermal loop did not converge: block powers became "
+                    f"non-finite at iteration {iteration} (possible thermal "
+                    "runaway for this package)"
+                )
+            thermal = thermal_model.analyze(floorplan, block_powers=power_vector)
             change = float(
                 np.max(np.abs(thermal.block_temperatures - temperatures))
             )
@@ -101,7 +110,9 @@ def solve_power_thermal(
             if change <= tolerance:
                 loop_span.set(iterations=iteration)
                 return PowerThermalSolution(
-                    floorplan=current, thermal=thermal, iterations=iteration
+                    floorplan=floorplan.with_powers(powers),
+                    thermal=thermal,
+                    iterations=iteration,
                 )
     raise SolverError(
         f"power-thermal loop did not converge in {max_iterations} iterations "

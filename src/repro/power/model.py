@@ -13,6 +13,7 @@ spread matter to the reliability analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ import numpy as np
 from repro.chip.floorplan import Floorplan
 from repro.errors import ConfigurationError
 from repro.power.activity import ActivityProfile
+
+#: Largest argument ``np.exp`` maps to a finite float64.
+_MAX_EXP_ARG = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,17 @@ class BlockPowerModel:
         return activity * p.switched_cap_density * area * p.vdd**2 * p.frequency
 
     def leakage_power(self, area: float, temperature: float) -> float:
-        """Leakage power of a block at ``temperature`` (celsius), watts."""
+        """Leakage power of a block at ``temperature`` (celsius), watts.
+
+        Infinite once the exponential overflows float64 (thermal
+        runaway); the power-thermal loop reports that as non-convergence.
+        """
         p = self.params
-        factor = np.exp(p.leak_temp_slope * (temperature - p.leak_temp_ref))
+        exponent = p.leak_temp_slope * (temperature - p.leak_temp_ref)
+        if exponent > _MAX_EXP_ARG:
+            # np.exp would warn about the overflow before returning inf.
+            return math.inf
+        factor = np.exp(exponent)
         return p.leak_density_ref * area * float(factor)
 
     def block_power(

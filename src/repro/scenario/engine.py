@@ -181,17 +181,17 @@ class ScenarioAnalyzer:
                     f"phase {phase.name!r} scales block powers, but the "  # type: ignore[attr-defined]
                     "design carries no power to scale"
                 )
-            scaled = host.floorplan.with_powers(
-                {
-                    block.name: block.power * float(scale)
-                    for block in host.floorplan.blocks
-                }
+            scaled = np.array(
+                [block.power * float(scale) for block in host.floorplan.blocks]
             )
-            # Same grid + package as every other phase of this design:
-            # the steady-state solve reuses the cached LU factor, so each
-            # additional phase costs one back-substitution.
+            # Same geometry, grid + package as every other phase of this
+            # design: the steady-state solve reuses the cached block→mesh
+            # map and LU factor, so each additional phase costs one
+            # back-substitution.
             metrics.inc("scenario.thermal_solves")
-            return self._thermal_model.analyze(scaled).block_temperatures
+            return self._thermal_model.analyze(
+                host.floorplan, block_powers=scaled
+            ).block_temperatures
         return host.block_temperatures
 
     def _build_engine(

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any
 from repro import obs
 from repro.kernels.artifacts import get_artifact_cache
 from repro.payloads import stamp_envelope
-from repro.thermal.factor_cache import factor_cache_stats
+from repro.thermal.factor_cache import factor_cache_stats, mesh_map_stats
 
 if TYPE_CHECKING:
     from repro.service.jobs import Job, JobManager
@@ -128,11 +128,14 @@ def _cache_health_gauges(manager: JobManager | None) -> dict[str, float]:
         tier_misses = obs.get_counter(counters["miss"])
         if tier_hits + tier_misses > 0:
             gauges[tier_gauge] = tier_hits / (tier_hits + tier_misses)
-    stats = factor_cache_stats()
-    gauges["thermal.factor_cache.entries"] = float(stats["entries"])
-    lookups = stats["hits"] + stats["misses"]
-    if lookups > 0:
-        gauges["thermal.factor_cache.hit_ratio"] = stats["hits"] / lookups
+    for prefix, cache_stats in (
+        ("thermal.factor_cache", factor_cache_stats()),
+        ("thermal.mesh_map", mesh_map_stats()),
+    ):
+        gauges[f"{prefix}.entries"] = float(cache_stats["entries"])
+        lookups = cache_stats["hits"] + cache_stats["misses"]
+        if lookups > 0:
+            gauges[f"{prefix}.hit_ratio"] = cache_stats["hits"] / lookups
     if manager is not None and manager.cache is not None:
         try:
             entries = float(manager.cache.stats().entries)

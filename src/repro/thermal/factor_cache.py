@@ -1,53 +1,120 @@
-"""Per-(grid, package) cache of sparse conductance factorizations.
+"""Structural caches of the steady-state thermal solve.
 
-The conductance matrix of the steady-state thermal system depends only on
-the mesh and the package constants — *not* on the power vector.  Every
-iteration of the power-thermal fixed point, every design in a ``repro
-batch`` sweep over temperatures, and every call in a workload sweep
-re-solves the same SPD system with a new right-hand side, so the LU
-factorization is computed once per ``(GridSpec, PackageModel)`` key and
-only the back-substitution runs per solve (``scipy``'s ``factorized``).
+Two parts of a floorplan thermal analysis depend only on geometry — *not*
+on the power vector — and are cached here, each keyed on the exact
+frozen-dataclass values it depends on:
 
-Both key types are frozen dataclasses, making them exact, hashable cache
-keys; a changed mesh or package is a different key, so invalidation is
-structural.  The cache is process-wide, thread-safe and LRU-bounded.
+- **Factorizations**, per ``(GridSpec, PackageModel)``.  The conductance
+  matrix depends only on the mesh and the package constants.  Every
+  iteration of the power-thermal fixed point, every design in a ``repro
+  batch`` sweep over temperatures, and every call in a workload sweep
+  re-solves the same SPD system with a new right-hand side, so the LU
+  factorization is computed once per key and only the back-substitution
+  runs per solve (``scipy``'s ``factorized``).
+- **Block→mesh maps**, per ``(GridSpec, tuple of block Rects)``.  Each
+  block's overlap-fraction vector on the thermal mesh, and its sum, serve
+  both directions of an analysis: spreading block power onto the mesh
+  and averaging the solved field back per block.  Power changes between
+  iterations and requests; the rectangles and the mesh do not.
+
+A changed mesh, package or block rectangle is a different key, so
+invalidation is structural.  Both caches are process-wide, thread-safe
+and LRU-bounded.
 
 Effectiveness is observable two ways: the module-level
-:func:`factor_cache_stats` counters (always on, used by the kernel
-benchmarks), and the ``thermal.factor_cache.{hit,miss}`` counters in
-:mod:`repro.obs.metrics` (populated while observability is enabled).
+:func:`factor_cache_stats` / :func:`mesh_map_stats` counters (always on,
+used by the kernel benchmarks), and the
+``thermal.factor_cache.{hit,miss}`` / ``thermal.mesh_map.{hit,miss}``
+counters in :mod:`repro.obs.metrics` (populated while observability is
+enabled).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
-from typing import Any
+from collections.abc import Callable, Hashable
+from typing import Any, TypeVar
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.chip.geometry import GridSpec
+from repro.chip.geometry import GridSpec, Rect
 from repro.obs import metrics
 from repro.thermal.grid import PackageModel
 
 __all__ = [
     "cached_factorization",
+    "cached_mesh_map",
     "clear_factor_cache",
     "factor_cache_stats",
+    "mesh_map_stats",
 ]
 
 #: Factorizations kept alive; each holds the SuperLU object of one mesh
 #: (a few MB for the default 48x48 mesh), so the bound stays small.
 _MAX_ENTRIES = 8
 
-_Solve = Callable[[np.ndarray], np.ndarray]
+#: Block→mesh maps kept alive; each holds one dense ``(blocks, cells)``
+#: float64 matrix (about 330 KB for the 18-block C6 at mesh 48).
+_MAX_MAP_ENTRIES = 8
 
+_Solve = Callable[[np.ndarray], np.ndarray]
+_MeshMap = tuple[np.ndarray, np.ndarray]
+_T = TypeVar("_T")
+
+#: Per cache: entry bound and obs hit/miss counter names.
+_SPECS = {
+    "factor_cache": (
+        _MAX_ENTRIES,
+        "thermal.factor_cache.hit",
+        "thermal.factor_cache.miss",
+    ),
+    "mesh_map": (
+        _MAX_MAP_ENTRIES,
+        "thermal.mesh_map.hit",
+        "thermal.mesh_map.miss",
+    ),
+}
+
+#: One lock guards both caches: their entries in LRU order and their
+#: lifetime hit/miss counts.
 _lock = threading.Lock()
-_cache: OrderedDict[tuple[GridSpec, PackageModel], _Solve] = OrderedDict()
-_hits = 0
-_misses = 0
+_entries: dict[str, OrderedDict[Hashable, Any]] = {
+    cache: OrderedDict() for cache in _SPECS
+}
+_counts = {cache: {"hits": 0, "misses": 0} for cache in _SPECS}
+
+
+def _get_or_build(
+    cache: str, key: Hashable, build: Callable[[], _T]
+) -> tuple[_T, bool]:
+    """``(value, hit)`` from one cache; ``build`` runs only on a miss."""
+    max_entries, hit_counter, miss_counter = _SPECS[cache]
+    entries = _entries[cache]
+    with _lock:
+        value = entries.get(key)
+        if value is not None:
+            entries.move_to_end(key)
+            _counts[cache]["hits"] += 1
+            metrics.inc(hit_counter)
+            return value, True
+    # Build outside the lock: a factorization can take milliseconds and
+    # other keys' lookups should not wait on it.
+    value = build()
+    with _lock:
+        _counts[cache]["misses"] += 1
+        metrics.inc(miss_counter)
+        entries[key] = value
+        entries.move_to_end(key)
+        while len(entries) > max_entries:
+            entries.popitem(last=False)
+    return value, False
+
+
+def _stats(cache: str) -> dict[str, Any]:
+    with _lock:
+        return {**_counts[cache], "entries": len(_entries[cache])}
 
 
 def cached_factorization(
@@ -61,41 +128,53 @@ def cached_factorization(
     factors and ``hit`` tells whether the factorization was reused.
     ``build_matrix`` is only called on a miss.
     """
-    global _hits, _misses
-    key = (grid, package)
-    with _lock:
-        solve = _cache.get(key)
-        if solve is not None:
-            _cache.move_to_end(key)
-            _hits += 1
-            metrics.inc("thermal.factor_cache.hit")
-            return solve, True
-    # Factor outside the lock: assembly + LU can take milliseconds and
-    # other meshes' lookups should not wait on it.
-    from scipy.sparse.linalg import factorized
 
-    solve = factorized(build_matrix().tocsc())
-    with _lock:
-        _misses += 1
-        metrics.inc("thermal.factor_cache.miss")
-        _cache[key] = solve
-        _cache.move_to_end(key)
-        while len(_cache) > _MAX_ENTRIES:
-            _cache.popitem(last=False)
-    return solve, False
+    def factor() -> _Solve:
+        from scipy.sparse.linalg import factorized
+
+        return factorized(build_matrix().tocsc())
+
+    return _get_or_build("factor_cache", (grid, package), factor)
+
+
+def cached_mesh_map(
+    mesh: GridSpec,
+    rects: tuple[Rect, ...],
+    build: Callable[[], _MeshMap],
+) -> _MeshMap:
+    """The block→mesh map of ``rects`` on ``mesh``.
+
+    Returns ``(fractions, totals)``: row ``j`` of ``fractions`` is
+    ``mesh.overlap_fractions(rects[j])`` and ``totals[j]`` its sum.
+    ``build`` computes that pair and is only called on a miss.  The
+    returned arrays are shared between callers and therefore read-only.
+    """
+
+    def build_frozen() -> _MeshMap:
+        fractions, totals = build()
+        fractions.setflags(write=False)
+        totals.setflags(write=False)
+        return fractions, totals
+
+    mesh_map, _hit = _get_or_build("mesh_map", (mesh, rects), build_frozen)
+    return mesh_map
 
 
 def factor_cache_stats() -> dict[str, Any]:
-    """Lifetime hit/miss counts and current entry count."""
-    with _lock:
-        return {"hits": _hits, "misses": _misses, "entries": len(_cache)}
+    """Factorization-cache lifetime hit/miss counts and entry count."""
+    return _stats("factor_cache")
+
+
+def mesh_map_stats() -> dict[str, Any]:
+    """Block→mesh-map lifetime hit/miss counts and entry count."""
+    return _stats("mesh_map")
 
 
 def clear_factor_cache(reset_stats: bool = True) -> None:
-    """Drop every cached factorization (tests, memory pressure)."""
-    global _hits, _misses
+    """Drop every cached factorization and block→mesh map (tests, memory
+    pressure)."""
     with _lock:
-        _cache.clear()
-        if reset_stats:
-            _hits = 0
-            _misses = 0
+        for cache, entries in _entries.items():
+            entries.clear()
+            if reset_stats:
+                _counts[cache].update(hits=0, misses=0)

@@ -15,7 +15,9 @@ import numpy as np
 from repro.chip.floorplan import Floorplan
 from repro.chip.geometry import GridSpec
 from repro.errors import ConfigurationError
+from repro.kernels.config import fast_paths_enabled
 from repro.obs.trace import span
+from repro.thermal.factor_cache import cached_mesh_map
 from repro.thermal.grid import PackageModel
 from repro.thermal.solver import TemperatureField, solve_steady_state
 
@@ -86,36 +88,104 @@ class HotSpotLite:
         ny = max(4, round(self.mesh_resolution * floorplan.height / longer))
         return GridSpec(nx=nx, ny=ny, width=floorplan.width, height=floorplan.height)
 
+    def mesh_map(
+        self, floorplan: Floorplan, mesh: GridSpec
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each block's overlap fractions on ``mesh`` and their sums.
+
+        Returns ``(fractions, totals)``: row ``j`` of the ``(blocks,
+        cells)`` matrix is ``mesh.overlap_fractions`` of block ``j``'s
+        rectangle, ``totals[j]`` its sum.  While fast paths are enabled
+        the pair comes from the process-wide block→mesh cache keyed on
+        ``(mesh, block rectangles)`` and is read-only; the reference
+        path rasterizes afresh.
+        """
+
+        def build() -> tuple[np.ndarray, np.ndarray]:
+            fractions = np.empty((floorplan.n_blocks, mesh.n_cells))
+            totals = np.empty(floorplan.n_blocks)
+            for j, block in enumerate(floorplan.blocks):
+                row = mesh.overlap_fractions(block.rect)
+                total = row.sum()
+                if total <= 0.0:
+                    raise ConfigurationError(
+                        f"block {block.name!r} does not overlap the thermal mesh"
+                    )
+                fractions[j] = row
+                totals[j] = total
+            return fractions, totals
+
+        if not fast_paths_enabled():
+            return build()
+        rects = tuple(block.rect for block in floorplan.blocks)
+        return cached_mesh_map(mesh, rects, build)
+
     def cell_powers(self, floorplan: Floorplan, mesh: GridSpec) -> np.ndarray:
         """Distribute block powers onto mesh cells by overlap area."""
-        powers = np.zeros(mesh.n_cells)
-        for block in floorplan.blocks:
-            fractions = mesh.overlap_fractions(block.rect)
-            total = fractions.sum()
-            if total <= 0.0:
-                raise ConfigurationError(
-                    f"block {block.name!r} does not overlap the thermal mesh"
-                )
-            powers += block.power * fractions / total
-        return powers
+        return _spread(
+            [block.power for block in floorplan.blocks],
+            *self.mesh_map(floorplan, mesh),
+        )
 
-    def analyze(self, floorplan: Floorplan) -> ThermalResult:
-        """Solve the steady-state profile and per-block temperatures."""
+    def analyze(
+        self, floorplan: Floorplan, block_powers: np.ndarray | None = None
+    ) -> ThermalResult:
+        """Solve the steady-state profile and per-block temperatures.
+
+        ``block_powers`` (watts, floorplan order) replaces the blocks' own
+        powers without building a new :class:`Floorplan`; the
+        power-thermal loop iterates on power vectors this way.
+        """
+        powers = _block_powers(floorplan, block_powers)
         with span(
             "thermal.hotspot",
             blocks=floorplan.n_blocks,
-            power_w=round(floorplan.total_power, 3),
+            power_w=round(sum(powers), 3),
         ):
             mesh = self.mesh_for(floorplan)
-            cell_power = self.cell_powers(floorplan, mesh)
-            field = solve_steady_state(mesh, cell_power, self.package)
+            fractions, totals = self.mesh_map(floorplan, mesh)
+            field = solve_steady_state(
+                mesh, _spread(powers, fractions, totals), self.package
+            )
             block_temps = np.array(
                 [
-                    field.average_over(mesh.overlap_fractions(block.rect))
-                    for block in floorplan.blocks
+                    float(field.values @ row / total)
+                    for row, total in zip(fractions, totals, strict=True)
                 ]
             )
         return ThermalResult(field=field, block_temperatures=block_temps)
+
+
+def _block_powers(
+    floorplan: Floorplan, block_powers: np.ndarray | None
+) -> list[float]:
+    """Validated per-block powers (watts, floorplan order)."""
+    if block_powers is None:
+        return [block.power for block in floorplan.blocks]
+    values = np.asarray(block_powers, dtype=float)
+    if values.shape != (floorplan.n_blocks,):
+        raise ConfigurationError(
+            f"expected {floorplan.n_blocks} block powers, got shape "
+            f"{values.shape}"
+        )
+    if not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
+        raise ConfigurationError("block powers must be finite and non-negative")
+    powers: list[float] = values.tolist()
+    return powers
+
+
+def _spread(
+    powers: list[float], fractions: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
+    """Cell powers: each block's power spread over its overlap fractions.
+
+    Accumulates ``p * fractions / total`` in block order, so the result
+    is the same float sequence whether the map was cached or not.
+    """
+    cell_power = np.zeros(fractions.shape[1])
+    for power, row, total in zip(powers, fractions, totals, strict=True):
+        cell_power += power * row / total
+    return cell_power
 
 
 def uniform_temperature_result(

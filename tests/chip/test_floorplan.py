@@ -46,6 +46,12 @@ class TestBlock:
         with pytest.raises(FloorplanError):
             _block("b", 0, 0, 1, 1, power=-1.0)
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_rejects_non_finite_power(self, power):
+        # ``nan < 0.0`` is False, so a sign check alone lets NaN through.
+        with pytest.raises(FloorplanError, match="finite"):
+            _block("b", 0, 0, 1, 1, power=power)
+
     def test_rejects_non_positive_avg_area(self):
         with pytest.raises(FloorplanError):
             _block("b", 0, 0, 1, 1, avg_area=0.0)

@@ -1,5 +1,7 @@
 """Unit tests for the architectural power model and activity profiles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,13 +142,27 @@ class TestPowerThermalLoop:
         )
 
     def test_runaway_detected(self, tiny_floorplan):
-        # An absurd leakage slope prevents convergence.
+        # An absurd leakage slope prevents convergence: the leakage
+        # exponential overflows, and the loop must report runaway itself
+        # (not a solver failure on non-finite temperatures) without any
+        # overflow or inf*0 RuntimeWarning on the way.
         params = PowerModelParams(leak_density_ref=5.0, leak_temp_slope=0.5)
         profile = ActivityProfile.preset("typical", tiny_floorplan)
-        with pytest.raises(SolverError):
-            solve_power_thermal(
-                tiny_floorplan,
-                profile,
-                power_model=BlockPowerModel(params),
-                max_iterations=8,
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                SolverError, match=r"did not converge.*thermal runaway"
+            ):
+                solve_power_thermal(
+                    tiny_floorplan,
+                    profile,
+                    power_model=BlockPowerModel(params),
+                    max_iterations=8,
+                )
+
+    def test_leakage_overflow_is_infinite_without_warning(self):
+        model = BlockPowerModel(PowerModelParams(leak_temp_slope=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert model.leakage_power(1.0, 1e4) == float("inf")
+            assert np.isfinite(model.leakage_power(1.0, 100.0))

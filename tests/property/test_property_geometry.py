@@ -1,10 +1,13 @@
 """Property-based tests for geometry invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.chip.floorplan import Block, Floorplan
 from repro.chip.geometry import GridSpec, Rect
+from repro.errors import FloorplanError
 
 finite_coord = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -116,3 +119,65 @@ class TestGridProperties:
             n = grid.n_cells
             for (i, j, k) in [(0, n // 2, n - 1), (0, 1, n - 1)]:
                 assert dist[i, k] <= dist[i, j] + dist[j, k] + 1e-9
+
+
+#: Die edge for the floorplan-overlap properties.  Lattice coordinates
+#: make touching edges and exact overlaps common; the dyadic jitter pushes
+#: edges into a neighbour by slivers around the ``1e-9 x smaller area``
+#: tolerance, exactly representable so both sides see the same floats.
+_DIE = 12.5
+_lattice_coord = st.integers(min_value=0, max_value=16).map(lambda k: 0.5 * k)
+_lattice_size = st.integers(min_value=1, max_value=8).map(lambda k: 0.5 * k)
+_jitter = st.sampled_from([0.0, 2.0**-40, 2.0**-31, 2.0**-30, 2.0**-29, 2.0**-26])
+#: Area ``S`` with ``1e-9 * S == 2**-30`` exactly: a sliver of width
+#: ``2**-30`` across a unit-height block of area ``S`` sits on the
+#: tolerance itself.
+_TIE_AREA = 0.9313225746154785
+
+
+@st.composite
+def die_rects(draw):
+    x = draw(st.one_of(_lattice_coord, st.floats(min_value=0.0, max_value=8.0)))
+    y = draw(st.one_of(_lattice_coord, st.floats(min_value=0.0, max_value=8.0)))
+    w = draw(st.one_of(_lattice_size, st.floats(min_value=1e-3, max_value=4.0)))
+    h = draw(st.one_of(_lattice_size, st.floats(min_value=1e-3, max_value=4.0)))
+    return Rect(
+        max(x - draw(_jitter), 0.0), y, w + draw(_jitter), h + draw(_jitter)
+    )
+
+
+def _first_overlapping_pair(rects):
+    """The pairwise rule ``Floorplan`` enforces, as a plain double loop."""
+    for i in range(len(rects)):
+        for j in range(i + 1, len(rects)):
+            overlap = rects[i].overlap_area(rects[j])
+            if overlap > 1e-9 * min(rects[i].area, rects[j].area):
+                return i, j
+    return None
+
+
+class TestFloorplanOverlapCheck:
+    @given(st.lists(die_rects(), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    # Overlap exactly at the tolerance: accepted.
+    @example(rects=[Rect(0.0, 0.0, _TIE_AREA, 1.0),
+                    Rect(_TIE_AREA - 2.0**-30, 0.0, 2.0, 1.0)])
+    # Twice the tolerance: rejected.
+    @example(rects=[Rect(0.0, 0.0, _TIE_AREA, 1.0),
+                    Rect(_TIE_AREA - 2.0**-29, 0.0, 2.0, 1.0)])
+    # Two offending pairs: row-major pair order names (b0, b3), not (b1, b2).
+    @example(rects=[Rect(0.0, 0.0, 1.0, 1.0), Rect(2.0, 0.0, 1.0, 1.0),
+                    Rect(2.5, 0.0, 1.0, 1.0), Rect(0.5, 0.0, 1.0, 1.0)])
+    def test_vectorized_check_matches_pairwise_rule(self, rects):
+        blocks = tuple(
+            Block(name=f"b{k}", rect=rect, n_devices=1)
+            for k, rect in enumerate(rects)
+        )
+        expected = _first_overlapping_pair(rects)
+        if expected is None:
+            Floorplan(width=_DIE, height=_DIE, blocks=blocks)
+            return
+        i, j = expected
+        with pytest.raises(FloorplanError) as excinfo:
+            Floorplan(width=_DIE, height=_DIE, blocks=blocks)
+        assert str(excinfo.value) == f"blocks 'b{i}' and 'b{j}' overlap"

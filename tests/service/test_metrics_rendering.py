@@ -193,6 +193,23 @@ class TestCacheHealthGauges:
         assert "repro_thermal_factor_cache_hit_ratio 0.5" in text
         lint_exposition(text)
 
+    def test_mesh_map_entries_and_ratio(self, tiny_floorplan):
+        from repro.thermal.hotspot import HotSpotLite
+
+        obs.enable()
+        text = render_metrics_text()
+        assert "repro_thermal_mesh_map_entries 0" in text
+        assert "repro_thermal_mesh_map_hit_ratio" not in text
+        hotspot = HotSpotLite(mesh_resolution=8)
+        for _ in range(4):  # one miss, then three hits on the same geometry
+            hotspot.analyze(tiny_floorplan)
+        text = render_metrics_text()
+        assert "repro_thermal_mesh_map_entries 1" in text
+        assert "repro_thermal_mesh_map_hit_ratio 0.75" in text
+        families = lint_exposition(text)
+        assert families["repro_thermal_mesh_map_entries"] == "gauge"
+        assert families["repro_thermal_mesh_map_hit_ratio"] == "gauge"
+
     def test_disk_entry_count_from_manager_cache(self, tmp_path, gated):
         obs.enable()
         cache = ResultCache(tmp_path / "cache")
