@@ -48,7 +48,6 @@ from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
 from repro.errors import ReproError
 from repro.exec.backends import resolve_backend
 from repro.kernels.bench import DEFAULT_BENCH_PATH
-from repro.kernels.config import PRECISIONS, set_precision
 from repro.units import hours_to_years
 
 
@@ -619,15 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
     )
-    parser.add_argument(
-        "--precision",
-        choices=PRECISIONS,
-        default=None,
-        help="numerical precision tier for the batched kernels: float64 "
-        "(default, bit-exact reference) or fast32 (float32 compute, "
-        "float64 results; see docs/performance.md for accuracy bounds). "
-        "Overrides REPRO_PRECISION.",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="design and thermal summary")
@@ -1009,8 +999,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision is not None:
-        set_precision(args.precision)
     log_level = getattr(args, "log_level", None)
     log_json = getattr(args, "log_json", False)
     if log_level is not None or log_json:

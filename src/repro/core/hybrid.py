@@ -18,7 +18,7 @@ from repro.core.closed_form import _EXP_MAX, _EXP_MIN
 from repro.core.ensemble import BlockReliability
 from repro.errors import ConfigurationError
 from repro.kernels.artifacts import memoize_artifact
-from repro.kernels.config import fast_paths_enabled, precision
+from repro.kernels.config import fast_paths_enabled
 from repro.kernels.survival import batched_rule_expectations, pad_rule_tables
 from repro.obs import metrics
 from repro.obs.trace import is_enabled, span
@@ -88,8 +88,8 @@ class HybridAnalyzer:
             if fast_paths_enabled():
                 # The batched build is memoized across processes: the
                 # tables depend only on the blocks' BLODs, the index
-                # axes, the rule knobs and the precision tier — all of
-                # which the payload captures exactly.
+                # axes and the rule knobs — all of which the payload
+                # captures exactly.
                 arrays = memoize_artifact(
                     "hybrid_tables",
                     {
@@ -113,7 +113,6 @@ class HybridAnalyzer:
                         "include_residual_fluctuation": (
                             include_residual_fluctuation
                         ),
-                        "precision": precision(),
                     },
                     lambda: {
                         "tables": self._build_tables_batched(

@@ -96,11 +96,6 @@ class LintContext:
         return "service" in self.path.parts
 
     @property
-    def in_kernels(self) -> bool:
-        """True inside the fast-path package ``repro/kernels``."""
-        return "kernels" in self.path.parts
-
-    @property
     def in_mechanisms(self) -> bool:
         """True inside the failure-mechanism package ``repro/mechanisms``."""
         return "mechanisms" in self.path.parts

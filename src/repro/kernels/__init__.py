@@ -31,13 +31,9 @@ from repro.kernels.artifacts import (
     use_artifacts,
 )
 from repro.kernels.config import (
-    PRECISIONS,
     fast_paths_enabled,
-    precision,
     set_fast_paths,
-    set_precision,
     use_fast_paths,
-    use_precision,
 )
 from repro.kernels.survival import (
     batched_rule_expectations,
@@ -47,7 +43,6 @@ from repro.kernels.survival import (
 )
 
 __all__ = [
-    "PRECISIONS",
     "ArtifactCache",
     "artifacts_enabled",
     "batched_rule_expectations",
@@ -57,12 +52,9 @@ __all__ = [
     "get_artifact_cache",
     "memoize_artifact",
     "pad_rule_tables",
-    "precision",
     "set_artifacts_enabled",
     "set_fast_paths",
-    "set_precision",
     "sweep_rule_expectations",
     "use_artifacts",
     "use_fast_paths",
-    "use_precision",
 ]

@@ -20,18 +20,6 @@ Blocks may carry different node counts (a degenerate BLOD variance
 collapses to a single point-mass node); tables are padded to the widest
 block with zero-weight nodes, which drop out of the weighted sums
 exactly.
-
-Precision tier
---------------
-Under ``precision() == "fast32"`` (see :mod:`repro.kernels.config`) the
-fused evaluations cast their inputs to float32, run the transcendental
-inner loops in float32, and cast back to float64 at the boundary.  The
-saturation semantics are preserved naturally: a float32 ``exp`` that
-overflows returns ``inf`` so survival saturates at exactly 0, and an
-underflowing one returns 0 so survival saturates at exactly 1 — the same
-limits the float64 clip produces.  Accuracy against the float64
-reference is gated by ``tests/kernels/test_fast32.py`` and the measured
-bounds are documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -40,7 +28,6 @@ import numpy as np
 
 from repro.core.closed_form import _EXP_MAX, _EXP_MIN
 from repro.errors import ConfigurationError
-from repro.kernels.config import precision
 from repro.obs import metrics
 
 __all__ = [
@@ -65,11 +52,6 @@ _MAX_CHUNK_ELEMENTS = 250_000
 #: (absurd times, ~e^300 alphas away) the log-sum path preserves the
 #: reference clipping semantics exactly.
 _FACTOR_SAFE_EXP = 700.0
-
-
-def _compute_dtype() -> type[np.floating]:
-    """The active inner-loop dtype (float32 only under ``fast32``)."""
-    return np.float32 if precision() == "fast32" else np.float64
 
 
 def pad_rule_tables(
@@ -140,9 +122,6 @@ def _expectation_chunk(
         exponent = np.clip(
             log_areas[:, None, None, None] + log_g, _EXP_MIN, _EXP_MAX
         )
-        # The float64 clip keeps exp() finite; float32 (fast32 tier) can
-        # still overflow to inf here, which saturates survival at the
-        # same exact 0 the reference limit reaches.
         with np.errstate(over="ignore"):
             survival = np.exp(-np.exp(exponent))
     expectation = np.einsum("jtpq,jp,jq->jt", survival, u_weights, v_weights)
@@ -172,19 +151,10 @@ def batched_rule_expectations(
         ``(n_blocks, n_nodes)`` padded quadrature tables (see
         :func:`pad_rule_tables`).
 
-    Returns the ``(n_blocks, n_times)`` expectation matrix (always
-    float64; under the ``fast32`` tier the inner loops run in float32
-    and the result is upcast at this boundary).
+    Returns the ``(n_blocks, n_times)`` expectation matrix.
     """
     n_blocks, n_times = log_t_ratios.shape
     finite = np.isfinite(log_t_ratios)
-    dtype = _compute_dtype()
-    log_t_ratios = log_t_ratios.astype(dtype=dtype, copy=False)
-    log_areas = log_areas.astype(dtype=dtype, copy=False)
-    u_points = u_points.astype(dtype=dtype, copy=False)
-    u_weights = u_weights.astype(dtype=dtype, copy=False)
-    v_points = v_points.astype(dtype=dtype, copy=False)
-    v_weights = v_weights.astype(dtype=dtype, copy=False)
     per_time = max(n_blocks * u_points.shape[1] * v_points.shape[1], 1)
     chunk = max(_MAX_CHUNK_ELEMENTS // per_time, 1)
     metrics.inc(
@@ -195,7 +165,7 @@ def batched_rule_expectations(
         return _expectation_chunk(
             log_t_ratios, finite, log_areas,
             u_points, u_weights, v_points, v_weights,
-        ).astype(dtype=np.float64, copy=False)
+        )
     out = np.empty((n_blocks, n_times), dtype=np.float64)
     for start in range(0, n_times, chunk):
         stop = min(start + chunk, n_times)
@@ -223,11 +193,6 @@ def batched_sample_expectations(
     n_blocks, n_times = log_t_ratios.shape
     n_samples = u_samples.shape[1]
     finite = np.isfinite(log_t_ratios)
-    dtype = _compute_dtype()
-    log_t_ratios = log_t_ratios.astype(dtype=dtype, copy=False)
-    log_areas = log_areas.astype(dtype=dtype, copy=False)
-    u_samples = u_samples.astype(dtype=dtype, copy=False)
-    v_samples = v_samples.astype(dtype=dtype, copy=False)
     per_time = max(n_blocks * n_samples, 1)
     chunk = max(_MAX_CHUNK_ELEMENTS // per_time, 1)
     metrics.inc("kernels.sample_evals", n_blocks * n_times * n_samples)
@@ -285,11 +250,7 @@ def sweep_rule_expectations(
     """
     if not ratio_profiles:
         return []
-    dtype = _compute_dtype()
-    profiles = [
-        np.asarray(p).astype(dtype=dtype, copy=False)
-        for p in ratio_profiles
-    ]
+    profiles = [np.asarray(p, dtype=np.float64) for p in ratio_profiles]
     n_blocks = profiles[0].shape[0]
     if any(p.ndim != 2 or p.shape[0] != n_blocks for p in profiles):
         raise ConfigurationError(

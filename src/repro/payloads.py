@@ -66,13 +66,10 @@ def dump_payload(payload: dict[str, Any]) -> str:
 
 def execution_info(analyzer: ReliabilityAnalyzer) -> dict[str, Any]:
     """The backend/worker summary embedded in analysis payloads."""
-    from repro.kernels.config import precision
-
     backend = analyzer.exec_backend
     return {
         "backend": backend.name,
         "jobs": backend.jobs,
-        "precision": precision(),
     }
 
 

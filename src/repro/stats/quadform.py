@@ -23,7 +23,7 @@ from scipy import integrate
 from scipy import stats as sps
 
 from repro.errors import ConfigurationError, NumericalError
-from repro.kernels.config import fast_paths_enabled, precision
+from repro.kernels.config import fast_paths_enabled
 from repro.obs import metrics
 
 #: Truncation tolerance of the batched Imhof quadrature (envelope bound).
@@ -315,23 +315,15 @@ class QuadraticForm:
         else:
             u, theta_base, weight = tables
         metrics.inc("kernels.imhof_nodes", u.size * shifted.size)
-        # The node tables stay float64 (built once, cached); under the
-        # fast32 tier only the per-x evaluation sweep — the part repeated
-        # for every query batch — runs in float32, upcast on return.
-        dtype = np.float32 if precision() == "fast32" else np.float64
-        u_eval = u.astype(dtype=dtype, copy=False)
-        theta_eval = theta_base.astype(dtype=dtype, copy=False)
-        weight_eval = weight.astype(dtype=dtype, copy=False)
-        shifted_eval = shifted.astype(dtype=dtype, copy=False)
         out = np.empty(shifted.size, dtype=np.float64)
         step = max(_IMHOF_CHUNK_ELEMENTS // u.size, 1)
         for start in range(0, shifted.size, step):
             stop = min(start + step, shifted.size)
             phase = (
-                theta_eval[None, :]
-                - 0.5 * shifted_eval[start:stop, None] * u_eval[None, :]
+                theta_base[None, :]
+                - 0.5 * shifted[start:stop, None] * u[None, :]
             )
-            out[start:stop] = np.sin(phase) @ weight_eval
+            out[start:stop] = np.sin(phase) @ weight
         return np.clip(0.5 + out / np.pi, 0.0, 1.0)
 
     def imhof_cdf(

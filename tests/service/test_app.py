@@ -81,6 +81,19 @@ class TestRouting:
         response = _submit(service, {"kind": "bogus", "design": "C1"})
         assert response.status == 400
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["rho", "vdd", "ppm", "t_min", "t_max"])
+    def test_non_finite_number_400(self, service, gated, field, literal):
+        doc = {"kind": "curve", "design": "C1", "t_min": 1e3, "t_max": 1e5}
+        doc[field] = float(literal)
+        # json.dumps writes the bare literal, which json.loads accepts.
+        response = _submit(service, doc)
+        assert response.status == 400
+        error = _json(response)["error"]
+        assert error["code"] == "invalid_request"
+        assert f"'{field}'" in error["message"]
+        assert gated.calls == 0
+
     def test_oversized_body_413(self, service):
         body = b"x" * 1_000_001
         assert service.handle("POST", "/v1/jobs", body, "t").status == 413

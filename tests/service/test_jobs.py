@@ -10,7 +10,8 @@ import pytest
 from repro import obs
 from repro.errors import AdmissionError, ServiceError
 from repro.exec.cache import ResultCache
-from repro.service import JobManager, JobRequest, JobState
+from repro.payloads import dump_payload
+from repro.service import JobManager, JobRequest, JobState, run_job
 
 
 def _request(seed=0, **overrides):
@@ -207,6 +208,48 @@ class TestResultCache:
             assert gated.calls == 1
         finally:
             manager.shutdown(drain_timeout=5.0)
+
+
+class TestConcurrentJobs:
+    def test_two_jobs_at_once_match_serial(self, tmp_path, monkeypatch):
+        """Two real jobs computed side by side return their serial bytes.
+
+        The result cache serves a payload by its request fingerprint, so a
+        job's result must not depend on what else the pool is running.
+        """
+        requests = [
+            JobRequest.from_dict({
+                "kind": "curve", "design": "C1", "grid": 6,
+                "methods": ["st_fast"], "t_min": 1e3, "t_max": 1e7,
+                "points": 40,
+            }),
+            JobRequest.from_dict({
+                "kind": "lifetime", "design": "C2", "grid": 6,
+                "methods": ["hybrid"],
+            }),
+        ]
+        # Cold artifact caches on both sides, so each run computes.
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE_DIR", str(tmp_path / "serial"))
+        serial = [dump_payload(run_job(request)) for request in requests]
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE_DIR", str(tmp_path / "pool"))
+
+        barrier = threading.Barrier(2, timeout=60.0)
+
+        def compute(request, **kwargs):
+            barrier.wait()
+            return run_job(request, **kwargs)
+
+        manager = JobManager(workers=2, max_queue=4, compute=compute)
+        manager.start()
+        try:
+            jobs = [manager.submit(request, "t")[0] for request in requests]
+            assert _wait_for(
+                lambda: all(job.state == JobState.DONE for job in jobs),
+                timeout=120.0,
+            ), [(job.state, job.error) for job in jobs]
+        finally:
+            manager.shutdown(drain_timeout=10.0)
+        assert [dump_payload(job.result) for job in jobs] == serial
 
 
 class TestProgress:

@@ -48,6 +48,8 @@ class TestValidation:
                 "methods": ["mc"],
             },
             {"kind": "lifetime", "design": "C1", "surprise": 1},
+            # Jobs take no arithmetic knob: every job runs in float64.
+            {"kind": "lifetime", "design": "C1", "precision": "float64"},
         ],
     )
     def test_invalid_documents_rejected(self, doc):

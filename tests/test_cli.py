@@ -535,30 +535,6 @@ class TestBatch:
         for a, b in zip(first["cells"], second["cells"], strict=True):
             assert a["lifetime_hours"] == b["lifetime_hours"]
 
-    def test_precision_flag_recorded(self, capsys, tmp_path):
-        from repro.kernels import set_precision
-
-        try:
-            code, out, _err = _run(
-                capsys,
-                "--precision",
-                "fast32",
-                "batch",
-                "--design",
-                "C1",
-                "--grid",
-                "6",
-                "--no-cache",
-                "--json",
-            )
-        finally:
-            # --precision flips the process-wide tier; restore it so the
-            # rest of the in-process suite stays on the reference tier.
-            set_precision("float64")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["execution"]["precision"] == "fast32"
-
 
 class TestCacheCommand:
     def test_stats_and_clear(self, capsys, tmp_path):
@@ -703,7 +679,6 @@ class TestJobs:
         assert payload["execution"] == {
             "backend": "process",
             "jobs": 2,
-            "precision": "float64",
         }
 
     def test_default_is_serial(self, capsys, tiny_args, monkeypatch):
