@@ -30,8 +30,8 @@ import numpy as np
 
 from repro.core.analyzer import ReliabilityAnalyzer
 from repro.core.closed_form import _EXP_MAX, _EXP_MIN
+from repro.core.ensemble import midpoint_block_rules
 from repro.errors import ConfigurationError
-from repro.stats.integration import midpoint_rule
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,9 @@ class BurnInAnalyzer:
         cfg = analyzer.config
         l0 = l0 if l0 is not None else cfg.l0
         tail = tail if tail is not None else cfg.tail
-        self._rules = [
-            (
-                midpoint_rule(blod.u_dist(), n_points=l0, tail=tail),
-                midpoint_rule(
-                    blod.v_chi2_match(cfg.include_residual_fluctuation),
-                    n_points=l0,
-                    tail=tail,
-                ),
-            )
-            for blod in analyzer.blods
-        ]
+        self._rules = midpoint_block_rules(
+            analyzer.blods, l0, tail, cfg.include_residual_fluctuation
+        )
 
     def _block_survival_expectation(
         self, index: int, t_use: float, t_stress: float

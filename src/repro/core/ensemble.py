@@ -20,6 +20,8 @@ per-block expectation differs.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -48,7 +50,7 @@ from repro.obs.trace import span
 from repro.stats.integration import (
     Rule1D,
     gauss_hermite_rule,
-    midpoint_rule,
+    midpoint_rules,
     quantile_rule,
 )
 
@@ -62,10 +64,12 @@ class BlockReliability:
     b: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.b <= 0.0:
-            raise ConfigurationError(f"b must be positive, got {self.b}")
+        for name, value in (("alpha", self.alpha), ("b", self.b)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"block {self.name!r}: {name} must be finite and "
+                    f"positive, got {value}"
+                )
 
     @property
     def name(self) -> str:
@@ -94,6 +98,47 @@ def _survival_on_grid(
     exponent = np.clip(np.log(area) + log_g, _EXP_MIN, _EXP_MAX)
     survival = np.exp(-np.exp(exponent))
     return np.where(finite, survival, 1.0)
+
+
+def midpoint_block_rules(
+    blods: Sequence[BlodModel],
+    l0: int,
+    tail: float,
+    include_residual_fluctuation: bool,
+) -> list[tuple[Rule1D, Rule1D]]:
+    """Every block's ``(u, v)`` midpoint rules (the paper's ``l0 x l0``).
+
+    Built with one :func:`~repro.stats.integration.midpoint_rules` pass
+    per dimension, so each distribution family costs one vectorized
+    quantile and one density evaluation for all blocks together.
+    """
+    u_rules = midpoint_rules(
+        [blod.u_dist() for blod in blods], n_points=l0, tail=tail
+    )
+    v_rules = midpoint_rules(
+        [blod.v_chi2_match(include_residual_fluctuation) for blod in blods],
+        n_points=l0,
+        tail=tail,
+    )
+    return list(zip(u_rules, v_rules, strict=True))
+
+
+def pad_block_rules(
+    rules: Sequence[tuple[Rule1D, Rule1D]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(u_points, u_weights, v_points, v_weights)`` (block, node) tables.
+
+    The layout the fused kernels of :mod:`repro.kernels.survival` take;
+    zero-weight padding keeps ragged blocks (a point-mass variance has
+    one node) exact.
+    """
+    u_points, u_weights = pad_rule_tables(
+        [u.points for u, _ in rules], [u.weights for u, _ in rules]
+    )
+    v_points, v_weights = pad_rule_tables(
+        [v.points for _, v in rules], [v.weights for _, v in rules]
+    )
+    return u_points, u_weights, v_points, v_weights
 
 
 class _EnsembleAnalyzerBase:
@@ -210,28 +255,29 @@ class StFastAnalyzer(_EnsembleAnalyzerBase):
             raise ConfigurationError(f"unknown rule {rule!r}")
         self.blocks = list(blocks)
         self.l0 = l0
-        self._rules: list[tuple[Rule1D, Rule1D]] = []
+        blods = [block.blod for block in self.blocks]
         with span("st_fast.rules", blocks=len(self.blocks), l0=l0, rule=rule):
-            for block in self.blocks:
-                u_dist = block.blod.u_dist()
-                v_dist = block.blod.v_chi2_match(include_residual_fluctuation)
-                if rule == "midpoint":
-                    u_rule = midpoint_rule(u_dist, n_points=l0, tail=tail)
-                    v_rule = midpoint_rule(v_dist, n_points=l0, tail=tail)
-                else:
-                    u_rule = gauss_hermite_rule(u_dist, n_points=max(l0, 8))
-                    v_rule = quantile_rule(v_dist, n_points=max(l0, 8))
-                self._rules.append((u_rule, v_rule))
-        # Padded (block, node) tables for the fused kernel; zero-weight
-        # padding keeps ragged blocks (point-mass variance) exact.
-        self._u_points, self._u_weights = pad_rule_tables(
-            [u.points for u, _ in self._rules],
-            [u.weights for u, _ in self._rules],
-        )
-        self._v_points, self._v_weights = pad_rule_tables(
-            [v.points for _, v in self._rules],
-            [v.weights for _, v in self._rules],
-        )
+            if rule == "midpoint":
+                self._rules = midpoint_block_rules(
+                    blods, l0, tail, include_residual_fluctuation
+                )
+            else:
+                self._rules = [
+                    (
+                        gauss_hermite_rule(blod.u_dist(), n_points=max(l0, 8)),
+                        quantile_rule(
+                            blod.v_chi2_match(include_residual_fluctuation),
+                            n_points=max(l0, 8),
+                        ),
+                    )
+                    for blod in blods
+                ]
+        (
+            self._u_points,
+            self._u_weights,
+            self._v_points,
+            self._v_weights,
+        ) = pad_block_rules(self._rules)
         self._log_areas = np.log([block.blod.area for block in self.blocks])
         self._rule_nodes = sum(
             u.points.size * v.points.size for u, v in self._rules

@@ -8,18 +8,28 @@ table over those two indices is computed once per design and thereafter
 any profile is evaluated by bilinear interpolation — the 0.02 s "hybrid"
 rows of Table III. All blocks share the same index axes (footnote 5); the
 entries differ through ``A_j`` and each block's BLOD marginals.
+
+A lifetime solve reads only the few ``b`` columns its interpolation
+stencil touches, so the table is filled one ``b`` column (for every
+block) at a time, when a query first reads it; each entry is the value a
+full build computes.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.core.closed_form import _EXP_MAX, _EXP_MIN
-from repro.core.ensemble import BlockReliability
+from repro.core.ensemble import (
+    BlockReliability,
+    midpoint_block_rules,
+    pad_block_rules,
+)
 from repro.errors import ConfigurationError
-from repro.kernels.artifacts import memoize_artifact
 from repro.kernels.config import fast_paths_enabled
-from repro.kernels.survival import batched_rule_expectations, pad_rule_tables
+from repro.kernels.survival import batched_rule_expectations
 from repro.obs import metrics
 from repro.obs.trace import is_enabled, span
 from repro.stats.integration import midpoint_rule
@@ -27,6 +37,10 @@ from repro.stats.integration import midpoint_rule
 
 class HybridAnalyzer:
     """Pre-tabulated per-block expectations with bilinear interpolation.
+
+    Table columns fill on demand (thread-safe; :attr:`tables` fills them
+    all).  With fast paths off the whole table is built eagerly, one
+    block at a time, as the reference the fill is checked against.
 
     Parameters
     ----------
@@ -64,7 +78,6 @@ class HybridAnalyzer:
             raise ConfigurationError("need at least one block")
         if n_alpha < 2 or n_b < 2:
             raise ConfigurationError("table needs at least 2 indices per axis")
-        self.blocks = list(blocks)
         if log_t_ratio_range is None:
             log_t_ratio_range = (-40.0, -1.0)
         if b_range is None:
@@ -76,63 +89,139 @@ class HybridAnalyzer:
         b_lo, b_hi = b_range
         if not 0.0 < b_lo < b_hi:
             raise ConfigurationError("b_range must be positive and increasing")
-        self.log_t_axis = np.linspace(lo, hi, n_alpha)
-        self.b_axis = np.linspace(b_lo, b_hi, n_b)
-        self.tables = np.empty((len(blocks), n_alpha, n_b))
-        with span(
-            "hybrid.build_table",
-            blocks=len(blocks),
-            n_alpha=n_alpha,
-            n_b=n_b,
-        ):
-            if fast_paths_enabled():
-                # The batched build is memoized across processes: the
-                # tables depend only on the blocks' BLODs, the index
-                # axes and the rule knobs — all of which the payload
-                # captures exactly.
-                arrays = memoize_artifact(
-                    "hybrid_tables",
-                    {
-                        "u_nominal": [b.blod.u_nominal for b in self.blocks],
-                        "u_sensitivities": [
-                            b.blod.u_sensitivities for b in self.blocks
-                        ],
-                        "v_matrix": [b.blod.v_matrix for b in self.blocks],
-                        "v_deterministic": [
-                            b.blod.v_deterministic for b in self.blocks
-                        ],
-                        "sigma_independent": [
-                            b.blod.sigma_independent for b in self.blocks
-                        ],
-                        "n_devices": [b.blod.n_devices for b in self.blocks],
-                        "areas": [b.blod.area for b in self.blocks],
-                        "log_t_axis": self.log_t_axis,
-                        "b_axis": self.b_axis,
-                        "l0": l0,
-                        "tail": tail,
-                        "include_residual_fluctuation": (
-                            include_residual_fluctuation
-                        ),
-                    },
-                    lambda: {
-                        "tables": self._build_tables_batched(
-                            l0, tail, include_residual_fluctuation
-                        )
-                    },
-                    required=("tables",),
-                )
-                tables = np.asarray(arrays["tables"])
-                if tables.shape != self.tables.shape:
-                    tables = self._build_tables_batched(
-                        l0, tail, include_residual_fluctuation
-                    )
-                self.tables[:] = tables
-            else:
-                for j, block in enumerate(blocks):
-                    self.tables[j] = self._build_block_table(
+        self._init_state(
+            blocks, np.linspace(lo, hi, n_alpha), np.linspace(b_lo, b_hi, n_b)
+        )
+        self._rule_knobs = (l0, tail, include_residual_fluctuation)
+        if not fast_paths_enabled():
+            with span(
+                "hybrid.build_table",
+                blocks=len(blocks),
+                n_alpha=n_alpha,
+                columns=n_b,
+            ):
+                for j, block in enumerate(self.blocks):
+                    self._tables[j] = self._build_block_table(
                         block, l0, tail, include_residual_fluctuation
                     )
-            metrics.inc("hybrid.table_entries", len(blocks) * n_alpha * n_b)
+                metrics.inc("hybrid.table_entries", self._tables.size)
+            self._mark_filled(np.arange(n_b))
+
+    def _init_state(
+        self,
+        blocks: list[BlockReliability],
+        log_t_axis: np.ndarray,
+        b_axis: np.ndarray,
+    ) -> None:
+        """Axes plus an empty table whose b-columns fill on demand."""
+        self.blocks = list(blocks)
+        self.log_t_axis = log_t_axis
+        self.b_axis = b_axis
+        self._tables = np.empty((len(self.blocks), log_t_axis.size, b_axis.size))
+        self._filled = np.zeros(b_axis.size, dtype=bool)
+        # _ready[c]: columns c and c + 1 are both filled, so the bilinear
+        # cells with lower b index c can be read without the lock.
+        self._ready = np.zeros(b_axis.size - 1, dtype=bool)
+        self._lock = threading.Lock()
+        self._kernel_inputs: tuple[np.ndarray, ...] | None = None
+
+    @classmethod
+    def from_tables(
+        cls,
+        blocks: list[BlockReliability],
+        log_t_axis: np.ndarray,
+        b_axis: np.ndarray,
+        tables: np.ndarray,
+    ) -> HybridAnalyzer:
+        """An analyzer over already tabulated log-failure tables.
+
+        Used to restore archived tables (:mod:`repro.io.tables`); nothing
+        is recomputed.  ``tables`` must have shape
+        ``(len(blocks), len(log_t_axis), len(b_axis))``.
+        """
+        analyzer = cls.__new__(cls)
+        analyzer._init_state(
+            blocks,
+            np.array(log_t_axis, dtype=float),
+            np.array(b_axis, dtype=float),
+        )
+        tables = np.asarray(tables, dtype=float)
+        if tables.shape != analyzer._tables.shape:
+            raise ConfigurationError(
+                f"tables have shape {tables.shape}, "
+                f"expected {analyzer._tables.shape}"
+            )
+        analyzer._tables[:] = tables
+        analyzer._mark_filled(np.arange(analyzer.b_axis.size))
+        return analyzer
+
+    @property
+    def tables(self) -> np.ndarray:
+        """Read-only ``(block, ln(t/alpha), b)`` log-failure table.
+
+        Reading it fills every b-column that no query has needed yet.
+        """
+        if not self._filled.all():
+            self._fill(np.arange(self.b_axis.size))
+        view = self._tables.view()
+        view.flags.writeable = False
+        return view
+
+    def _mark_filled(self, columns: np.ndarray) -> None:
+        filled = self._filled.copy()
+        filled[columns] = True
+        self._filled = filled
+        self._ready = filled[:-1] & filled[1:]
+
+    def _fill(self, columns: np.ndarray) -> None:
+        """Tabulate, for every block, the b-columns in ``columns`` not yet filled.
+
+        One fused :func:`batched_rule_expectations` call over the
+        ``ln(t/alpha) * b`` products of the missing columns: each entry
+        is the same elementwise evaluation a full build performs, so its
+        value does not depend on which columns are filled together (every
+        table on C1-C6 takes the kernel's separable branch).  Columns are
+        written before they are marked ready, so lock-free readers only
+        ever gather finished columns.
+        """
+        with self._lock:
+            missing = columns[~self._filled[columns]]
+            if missing.size == 0:
+                return
+            n_blocks, n_alpha, _ = self._tables.shape
+            with span(
+                "hybrid.build_table",
+                blocks=n_blocks,
+                n_alpha=n_alpha,
+                columns=missing.size,
+            ):
+                if self._kernel_inputs is None:
+                    l0, tail, include_residual_fluctuation = self._rule_knobs
+                    tables = pad_block_rules(
+                        midpoint_block_rules(
+                            [block.blod for block in self.blocks],
+                            l0,
+                            tail,
+                            include_residual_fluctuation,
+                        )
+                    )
+                    log_areas = np.log([block.blod.area for block in self.blocks])
+                    self._kernel_inputs = (log_areas, *tables)
+                scaled = self.log_t_axis[:, None] * self.b_axis[None, missing]
+                flat = np.broadcast_to(
+                    scaled.reshape(1, -1), (n_blocks, scaled.size)
+                )
+                expectation = batched_rule_expectations(
+                    flat, *self._kernel_inputs
+                )
+                failure = np.clip(1.0 - expectation, 1e-300, None)
+                self._tables[:, :, missing] = np.log(failure).reshape(
+                    n_blocks, n_alpha, missing.size
+                )
+                metrics.inc(
+                    "hybrid.table_entries", n_blocks * n_alpha * missing.size
+                )
+            self._mark_filled(missing)
 
     def _build_block_table(
         self,
@@ -169,52 +258,6 @@ class HybridAnalyzer:
         )
         failure = np.clip(1.0 - expectation, 1e-300, None)
         return np.log(failure)
-
-    def _build_tables_batched(
-        self,
-        l0: int,
-        tail: float,
-        include_residual_fluctuation: bool,
-    ) -> np.ndarray:
-        """Build every block's table in one fused pass.
-
-        All blocks share the index axes (footnote 5), so the
-        ``ln(t/alpha) * b`` grid is computed once and broadcast across
-        blocks, and the per-block tensor-rule loop collapses into the
-        fused kernel of :func:`repro.kernels.survival
-        .batched_rule_expectations` over the flattened ``(A * B,)`` index
-        grid with padded per-block node tables.
-        """
-        u_rules = []
-        v_rules = []
-        for block in self.blocks:
-            u_rules.append(
-                midpoint_rule(block.blod.u_dist(), n_points=l0, tail=tail)
-            )
-            v_rules.append(
-                midpoint_rule(
-                    block.blod.v_chi2_match(include_residual_fluctuation),
-                    n_points=l0,
-                    tail=tail,
-                )
-            )
-        u_points, u_weights = pad_rule_tables(
-            [r.points for r in u_rules], [r.weights for r in u_rules]
-        )
-        v_points, v_weights = pad_rule_tables(
-            [r.points for r in v_rules], [r.weights for r in v_rules]
-        )
-        log_areas = np.log([block.blod.area for block in self.blocks])
-
-        scaled = self.log_t_axis[:, None] * self.b_axis[None, :]
-        flat = np.broadcast_to(
-            scaled.reshape(1, -1), (len(self.blocks), scaled.size)
-        )
-        expectation = batched_rule_expectations(
-            flat, log_areas, u_points, u_weights, v_points, v_weights
-        )
-        failure = np.clip(1.0 - expectation, 1e-300, None)
-        return np.log(failure).reshape(self.tables.shape)
 
     def _interpolate(
         self, table: np.ndarray, log_t_ratio: np.ndarray, b: float
@@ -281,8 +324,8 @@ class HybridAnalyzer:
         values below the left edge clamp to failure 0 — applied across the
         whole ``(block, time)`` query matrix at once.
         """
-        outside = (bs < self.b_axis[0]) | (bs > self.b_axis[-1])
-        if np.any(outside):
+        if bs.min() < self.b_axis[0] or bs.max() > self.b_axis[-1]:
+            outside = (bs < self.b_axis[0]) | (bs > self.b_axis[-1])
             b = float(bs[int(np.argmax(outside))])
             raise ConfigurationError(
                 f"b = {b} outside the table range "
@@ -290,7 +333,7 @@ class HybridAnalyzer:
             )
         finite = np.isfinite(log_t_ratios)
         clamped_low = log_t_ratios <= self.log_t_axis[0]
-        if np.any(log_t_ratios[finite] > self.log_t_axis[-1]):
+        if (log_t_ratios[finite] > self.log_t_axis[-1]).any():
             raise ConfigurationError(
                 "query time beyond the table's ln(t/alpha) range; rebuild "
                 "the table with a wider log_t_ratio_range"
@@ -307,16 +350,18 @@ class HybridAnalyzer:
         iy = np.clip(
             np.searchsorted(self.b_axis, bs) - 1, 0, len(self.b_axis) - 2
         )
+        if not self._ready[iy].all():
+            self._fill(np.union1d(iy, iy + 1))
         ty = ((bs - self.b_axis[iy]) / (self.b_axis[iy + 1] - self.b_axis[iy]))[
             :, None
         ]
         rows = np.arange(len(self.blocks))[:, None]
         iy = iy[:, None]
 
-        f00 = self.tables[rows, ix, iy]
-        f10 = self.tables[rows, ix + 1, iy]
-        f01 = self.tables[rows, ix, iy + 1]
-        f11 = self.tables[rows, ix + 1, iy + 1]
+        f00 = self._tables[rows, ix, iy]
+        f10 = self._tables[rows, ix + 1, iy]
+        f01 = self._tables[rows, ix, iy + 1]
+        f11 = self._tables[rows, ix + 1, iy + 1]
         log_value = (
             f00 * (1.0 - tx) * (1.0 - ty)
             + f10 * tx * (1.0 - ty)
@@ -330,6 +375,20 @@ class HybridAnalyzer:
             metrics.inc("hybrid.lut_misses", n_miss)
         return np.where(missed, 0.0, np.exp(log_value))
 
+    def _weibull_override(self, name: str, values: np.ndarray) -> np.ndarray:
+        """A per-block ``alpha`` or ``b`` override: finite and positive."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(self.blocks),):
+            raise ConfigurationError("need one (alpha, b) pair per block")
+        # NaN fails both comparisons.
+        if not (values.min() > 0.0 and values.max() < np.inf):
+            bad = int(np.argmin((values > 0.0) & (values < np.inf)))
+            raise ConfigurationError(
+                f"block {self.blocks[bad].name!r}: {name} must be finite "
+                f"and positive, got {values[bad]}"
+            )
+        return values
+
     def block_failure_probabilities(
         self,
         times: np.ndarray | float,
@@ -342,18 +401,16 @@ class HybridAnalyzer:
         the table-reuse path for a different setup/application profile.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < 0.0):
+        if (times < 0.0).any():
             raise ConfigurationError("times must be non-negative")
         if alphas is None:
             alphas = np.array([block.alpha for block in self.blocks])
         else:
-            alphas = np.asarray(alphas, dtype=float)
+            alphas = self._weibull_override("alpha", alphas)
         if bs is None:
             bs = np.array([block.b for block in self.blocks])
         else:
-            bs = np.asarray(bs, dtype=float)
-        if alphas.shape != (len(self.blocks),) or bs.shape != (len(self.blocks),):
-            raise ConfigurationError("need one (alpha, b) pair per block")
+            bs = self._weibull_override("b", bs)
         if fast_paths_enabled():
             with np.errstate(divide="ignore"):
                 log_t_ratios = np.where(
@@ -362,13 +419,14 @@ class HybridAnalyzer:
                     -np.inf,
                 )
             return self._interpolate_batched(log_t_ratios, bs)
+        tables = self.tables
         out = np.empty((len(self.blocks), times.size))
         with np.errstate(divide="ignore"):
             for j in range(len(self.blocks)):
                 log_t_ratio = np.where(
                     times > 0.0, np.log(times / alphas[j]), -np.inf
                 )
-                out[j] = self._interpolate(self.tables[j], log_t_ratio, float(bs[j]))
+                out[j] = self._interpolate(tables[j], log_t_ratio, float(bs[j]))
         return out
 
     def reliability(

@@ -4,9 +4,9 @@ Two artefacts worth archiving per design/process:
 
 - the OBD characterisation table ``alpha(T), b(T)`` a fab supplies
   (CSV, human-editable),
-- the hybrid analyzer's per-block look-up tables (``.npz``), which take
-  seconds to build and milliseconds to load — the reliability-monitoring
-  deployment path of Sec. IV-E.
+- the hybrid analyzer's per-block look-up tables (``.npz``), archived
+  fully tabulated and restored without recomputation — the
+  reliability-monitoring deployment path of Sec. IV-E.
 """
 
 from __future__ import annotations
@@ -79,9 +79,10 @@ def load_obd_table(path: str | Path) -> TabulatedOBDModel:
 def save_hybrid_tables(hybrid: HybridAnalyzer, path: str | Path) -> None:
     """Persist a hybrid analyzer's look-up tables to an ``.npz`` archive.
 
-    Stores the shared index axes, the per-block log-failure tables, and
-    the nominal per-block (alpha, b, area, name) needed to query with the
-    design's default profile.
+    Stores the shared index axes, the full per-block log-failure tables
+    (columns no query has needed yet are filled first), and the nominal
+    per-block (alpha, b, area, name) needed to query with the design's
+    default profile.
     """
     np.savez_compressed(
         Path(path),
@@ -100,7 +101,7 @@ def load_hybrid_tables(
     """Restore a hybrid analyzer from an ``.npz`` archive.
 
     ``blocks`` must be the same design's block list (checked by name);
-    the expensive table build is skipped entirely.
+    every archived column is used as is and nothing is recomputed.
     """
     with np.load(Path(path), allow_pickle=False) as archive:
         names = [str(n) for n in archive["names"]]
@@ -108,20 +109,6 @@ def load_hybrid_tables(
             raise ConfigurationError(
                 "archived tables do not match the supplied block list"
             )
-        # Build a minimal instance without recomputing tables.
-        analyzer = HybridAnalyzer.__new__(HybridAnalyzer)
-        analyzer.blocks = list(blocks)
-        analyzer.log_t_axis = archive["log_t_axis"].copy()
-        analyzer.b_axis = archive["b_axis"].copy()
-        analyzer.tables = archive["tables"].copy()
-    expected_shape = (
-        len(blocks),
-        analyzer.log_t_axis.size,
-        analyzer.b_axis.size,
-    )
-    if analyzer.tables.shape != expected_shape:
-        raise ConfigurationError(
-            f"archived tables have shape {analyzer.tables.shape}, "
-            f"expected {expected_shape}"
+        return HybridAnalyzer.from_tables(
+            blocks, archive["log_t_axis"], archive["b_axis"], archive["tables"]
         )
-    return analyzer

@@ -2,12 +2,14 @@
 
 A busy ``repro serve`` / ``repro fleet`` deployment rebuilds the same
 derived artifacts on every request over a given design: the canonical
-PCA thickness model (one dense ``eigh`` of the grid covariance), the
+PCA thickness model (one dense ``eigh`` of the grid covariance) and the
 BLOD characterisation (per-block quadratic forms, plus their lazy
-``_v_eigensystem`` eigendecompositions), and the batched hybrid lookup
-tables.  None of those depend on the request's times or ppm target —
-only on the design, the analysis configuration and the code version —
-so they are perfect content-addressed cache entries.
+``_v_eigensystem`` eigendecompositions).  None of those depend on the
+request's times or ppm target — only on the design, the analysis
+configuration and the code version — so they are perfect
+content-addressed cache entries.  Hybrid look-up tables are not cached:
+their columns fill on demand, in less time than hashing a key for them
+would take.
 
 :class:`ArtifactCache` is a thin :class:`~repro.exec.cache.ResultCache`
 subclass: same two-level ``.npz`` layout, atomic tempfile+rename writes,

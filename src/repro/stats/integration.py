@@ -14,8 +14,8 @@ two higher-order alternatives used as ablation references:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields
 from typing import Protocol
 
 import numpy as np
@@ -23,6 +23,7 @@ from scipy import integrate
 from scipy import stats as sps
 
 from repro.errors import ConfigurationError
+from repro.stats.quadform import Chi2Match
 
 
 class UnivariateDist(Protocol):
@@ -51,17 +52,35 @@ class NormalDist:
         """True when the distribution is a point mass."""
         return self.sigma <= 0.0
 
+    @staticmethod
+    def density(
+        x: np.ndarray | float,
+        mean: np.ndarray | float,
+        sigma: np.ndarray | float,
+    ) -> np.ndarray:
+        """Normal density; the parameters broadcast against ``x``."""
+        return np.asarray(sps.norm.pdf(x, loc=mean, scale=sigma))
+
+    @staticmethod
+    def quantile(
+        q: np.ndarray | float,
+        mean: np.ndarray | float,
+        sigma: np.ndarray | float,
+    ) -> np.ndarray:
+        """Normal quantile; the parameters broadcast against ``q``."""
+        return np.asarray(sps.norm.ppf(q, loc=mean, scale=sigma))
+
     def pdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """Normal density (zero everywhere for the degenerate case)."""
         if self.is_degenerate:
             return np.zeros_like(np.asarray(x, dtype=float))
-        return np.asarray(sps.norm.pdf(x, loc=self.mean, scale=self.sigma))
+        return self.density(x, self.mean, self.sigma)
 
     def ppf(self, q: np.ndarray | float) -> np.ndarray | float:
         """Normal quantile (constant for the degenerate case)."""
         if self.is_degenerate:
             return np.full_like(np.asarray(q, dtype=float), self.mean)
-        return np.asarray(sps.norm.ppf(q, loc=self.mean, scale=self.sigma))
+        return self.quantile(q, self.mean, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,18 @@ class Rule1D:
             raise ConfigurationError("points and weights must be matching 1-D arrays")
 
 
+#: Families whose rules are built in one stacked pass.  Their static
+#: ``quantile``/``density`` formulas take the dataclass fields, in field
+#: order, as parameters that broadcast; ``ppf``/``pdf`` call the same
+#: formulas with one distribution's fields.
+_StackedFamily = type[NormalDist] | type[Chi2Match]
+_STACKED_FAMILIES: tuple[_StackedFamily, ...] = (NormalDist, Chi2Match)
+
+
+def _single_node(value: float) -> Rule1D:
+    return Rule1D(points=np.array([value]), weights=np.array([1.0]))
+
+
 def midpoint_rule(
     dist: UnivariateDist,
     n_points: int = 10,
@@ -106,28 +137,111 @@ def midpoint_rule(
     the raw rule (the paper's ``l0 = 10`` is accurate either way because
     the PDFs die off quickly, Fig. 4).
     """
+    return midpoint_rules(
+        [dist], n_points=n_points, tail=tail, normalize=normalize
+    )[0]
+
+
+def midpoint_rules(
+    dists: Sequence[UnivariateDist],
+    n_points: int = 10,
+    tail: float = 1e-6,
+    normalize: bool = True,
+) -> list[Rule1D]:
+    """:func:`midpoint_rule` of every distribution in ``dists``, in one pass.
+
+    The :class:`NormalDist` and :class:`~repro.stats.quadform.Chi2Match`
+    members are bracketed by one ``quantile`` call per family covering
+    both tails, and weighted by one ``density`` call, over the family's
+    stacked parameters; each rule is bit-identical to building it alone.
+    Point masses and degenerate normals keep their single node, and any
+    other distribution uses its own ``ppf`` and ``pdf``.  When several
+    distributions are rejected, the error is the first one's in list
+    order.
+    """
     if n_points < 1:
         raise ConfigurationError(f"n_points must be >= 1, got {n_points}")
     if not 0.0 < tail < 0.5:
         raise ConfigurationError(f"tail must be in (0, 0.5), got {tail}")
-    if isinstance(dist, PointMass):
-        return Rule1D(points=np.array([dist.value]), weights=np.array([1.0]))
-    if isinstance(dist, NormalDist) and dist.is_degenerate:
-        return Rule1D(points=np.array([dist.mean]), weights=np.array([1.0]))
-    lo = float(dist.ppf(tail))
-    hi = float(dist.ppf(1.0 - tail))
-    if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
-        raise ConfigurationError("distribution support could not be bracketed")
-    edges = np.linspace(lo, hi, n_points + 1)
-    midpoints = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    weights = np.asarray(dist.pdf(midpoints), dtype=float) * widths
-    total = weights.sum()
+    rules: list[Rule1D | None] = [None] * len(dists)
+    errors: dict[int, str] = {}
+    members_of: dict[type, list[int]] = {f: [] for f in _STACKED_FAMILIES}
+    for index, dist in enumerate(dists):
+        if isinstance(dist, PointMass):
+            rules[index] = _single_node(dist.value)
+        elif isinstance(dist, NormalDist) and dist.is_degenerate:
+            rules[index] = _single_node(dist.mean)
+        elif type(dist) in members_of:
+            members_of[type(dist)].append(index)
+        else:
+            bounds = np.array(
+                [[float(dist.ppf(tail)), float(dist.ppf(1.0 - tail))]]
+            )
+            _add_midpoint_rules(
+                rules, errors, [index], bounds, [],
+                lambda x, d=dist: np.asarray(d.pdf(x[0]), dtype=float)[None],
+                n_points, normalize,
+            )
+    for family in _STACKED_FAMILIES:
+        members = members_of[family]
+        if not members:
+            continue
+        # One (n, 1) column per parameter, broadcast against the nodes.
+        names = [field.name for field in fields(family)]
+        stacked = np.array([[getattr(dists[i], n) for n in names] for i in members])
+        params = list(stacked.T[:, :, None])
+        bounds = family.quantile(np.array([tail, 1.0 - tail]), *params)
+        _add_midpoint_rules(
+            rules, errors, members, bounds, params, family.density,
+            n_points, normalize,
+        )
+    if errors:
+        raise ConfigurationError(errors[min(errors)])
+    return [rule for rule in rules if rule is not None]
+
+
+def _add_midpoint_rules(
+    rules: list[Rule1D | None],
+    errors: dict[int, str],
+    members: list[int],
+    bounds: np.ndarray,
+    params: list[np.ndarray],
+    density: Callable[..., np.ndarray],
+    n_points: int,
+    normalize: bool,
+) -> None:
+    """Midpoint rules of ``members`` from their ``(n, 2)`` brackets.
+
+    ``density(x, *params)`` gives the members' densities on an
+    ``(n, n_points)`` midpoint matrix, ``params`` being ``(n, 1)``
+    parameter columns.  A member whose bracket or mass is unusable is
+    recorded in ``errors``.  Every row is computed as it would be alone:
+    linspace is elementwise per row and each sum runs over one
+    contiguous row.
+    """
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    bracketed = np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
+    for k in np.flatnonzero(~bracketed):
+        errors[members[k]] = "distribution support could not be bracketed"
+    keep = np.flatnonzero(bracketed)
+    if keep.size == 0:
+        return
+    edges = np.ascontiguousarray(
+        np.linspace(lo[keep], hi[keep], n_points + 1, axis=-1)
+    )
+    midpoints = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    widths = np.diff(edges, axis=-1)
+    densities = density(midpoints, *[p[keep] for p in params])
+    weights = np.ascontiguousarray(densities * widths)
     if normalize:
-        if total <= 0.0:
-            raise ConfigurationError("distribution has no mass on the bracket")
-        weights = weights / total
-    return Rule1D(points=midpoints, weights=weights)
+        totals = weights.sum(axis=-1)
+        massless = totals <= 0.0
+        for k in np.flatnonzero(massless):
+            errors[members[keep[k]]] = "distribution has no mass on the bracket"
+        weights = weights / np.where(massless, 1.0, totals)[:, None]
+    for k, row in enumerate(keep):
+        if members[row] not in errors:
+            rules[members[row]] = Rule1D(points=midpoints[k], weights=weights[k])
 
 
 def gauss_hermite_rule(dist: NormalDist, n_points: int = 16) -> Rule1D:

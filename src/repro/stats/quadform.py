@@ -55,16 +55,36 @@ class Chi2Match:
         out = sps.chi2.cdf((x - self.offset) / self.scale, self.dof)
         return out if out.ndim else float(out)
 
+    @staticmethod
+    def quantile(
+        q: np.ndarray | float,
+        offset: np.ndarray | float,
+        scale: np.ndarray | float,
+        dof: np.ndarray | float,
+    ) -> np.ndarray:
+        """Surrogate quantile; the parameters broadcast against ``q``."""
+        return np.asarray(offset + scale * sps.chi2.ppf(q, dof))
+
+    @staticmethod
+    def density(
+        x: np.ndarray | float,
+        offset: np.ndarray | float,
+        scale: np.ndarray | float,
+        dof: np.ndarray | float,
+    ) -> np.ndarray:
+        """Surrogate density; the parameters broadcast against ``x``."""
+        return np.asarray(sps.chi2.pdf((x - offset) / scale, dof) / scale)
+
     def ppf(self, q: np.ndarray | float) -> np.ndarray | float:
         """Quantile function of the surrogate distribution."""
         q = np.asarray(q, dtype=float)
-        out = self.offset + self.scale * sps.chi2.ppf(q, self.dof)
+        out = self.quantile(q, self.offset, self.scale, self.dof)
         return out if out.ndim else float(out)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """Density of the surrogate distribution."""
         x = np.asarray(x, dtype=float)
-        out = sps.chi2.pdf((x - self.offset) / self.scale, self.dof) / self.scale
+        out = self.density(x, self.offset, self.scale, self.dof)
         return out if out.ndim else float(out)
 
     def mean(self) -> float:

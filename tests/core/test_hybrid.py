@@ -87,6 +87,30 @@ class TestHybridProfileReuse:
             hybrid.failure_probability(times, alphas=np.array([1.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["alpha", "b"])
+@pytest.mark.parametrize("where", ["block", "override"])
+def test_invalid_weibull_parameter_rejected(blocks, hybrid, times, where, name, value):
+    """NaN, infinite, zero or negative (alpha, b) name the block instead of
+    silently dropping it from the failure sum (or returning NaN)."""
+    from repro.core.ensemble import BlockReliability
+
+    target = blocks[1]
+    message = f"block {target.name!r}: {name} must be finite and positive"
+    if where == "block":
+        params = {"alpha": target.alpha, "b": target.b, name: value}
+        with pytest.raises(ConfigurationError, match=message):
+            BlockReliability(blod=target.blod, **params)
+        return
+    overrides = {
+        "alphas": np.array([b.alpha for b in blocks]),
+        "bs": np.array([b.b for b in blocks]),
+    }
+    overrides[f"{name}s"][1] = value
+    with pytest.raises(ConfigurationError, match=message):
+        hybrid.reliability(times, **overrides)
+
+
 class TestHybridRangeHandling:
     def test_b_outside_table_rejected(self, blocks, hybrid, times):
         bs = np.array([b.b for b in blocks]) * 5.0
