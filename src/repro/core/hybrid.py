@@ -18,6 +18,7 @@ full build computes.
 from __future__ import annotations
 
 import threading
+from typing import Any
 
 import numpy as np
 
@@ -124,6 +125,16 @@ class HybridAnalyzer:
         self._ready = np.zeros(b_axis.size - 1, dtype=bool)
         self._lock = threading.Lock()
         self._kernel_inputs: tuple[np.ndarray, ...] | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Locks do not pickle; a copy guards its own fills.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     @classmethod
     def from_tables(

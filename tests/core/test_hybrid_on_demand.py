@@ -10,6 +10,7 @@ set and order of fills.
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
 from functools import lru_cache
@@ -144,6 +145,21 @@ def test_lifetime_solve_fills_only_the_stencil():
     assert stencil.size < hybrid.b_axis.size // 10
     assert counters["hybrid.table_entries"] == (
         len(analyzer.blocks) * hybrid.log_t_axis.size * stencil.size
+    )
+
+
+def test_pickled_copy_keeps_filled_columns_and_fills_more():
+    blocks = list(design_blocks("C1", 10))
+    hybrid = HybridAnalyzer(blocks)
+    alpha_min = min(b.alpha for b in blocks)
+    times = np.geomspace(1e-5, 0.3, 8) * alpha_min
+    nominal = hybrid.reliability(times)
+    copy = pickle.loads(pickle.dumps(hybrid))
+    assert np.array_equal(copy._filled, hybrid._filled)
+    assert np.array_equal(copy.reliability(times), nominal)
+    bs = np.array([b.b for b in blocks]) * 1.2
+    assert np.array_equal(
+        copy.reliability(times, bs=bs), hybrid.reliability(times, bs=bs)
     )
 
 
