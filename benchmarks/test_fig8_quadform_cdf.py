@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.design_cache import prepared_analyzer
-from repro.stats.quadform import QuadraticForm
 
 
 def _hardest_blod():
@@ -22,7 +21,7 @@ def _hardest_blod():
 
 def test_fig8_chi2_approximation_cdf(report, benchmark):
     blod = _hardest_blod()
-    form = QuadraticForm(offset=blod.v_offset, matrix=blod.v_matrix)
+    form = blod.v_quadratic_form()
     match = blod.v_chi2_match(include_residual_fluctuation=False)
 
     samples = benchmark.pedantic(
@@ -81,7 +80,7 @@ def test_fig8_approximation_quality_across_blocks(report, benchmark):
     rows = []
     worst = 0.0
     for blod in analyzer.blods:
-        form = QuadraticForm(offset=blod.v_offset, matrix=blod.v_matrix)
+        form = blod.v_quadratic_form()
         if form.is_degenerate:
             rows.append([blod.name, "degenerate", "-"])
             continue

@@ -22,6 +22,16 @@ cross terms. The residual sampling factor ``W`` concentrates at 1 for large
 blocks; the paper keeps only its mean ``lambda_r^2`` (its ``v_{j,0}``), and
 this module optionally folds its fluctuation into the chi-square moment
 matching (exact for single-grid blocks, where the spatial part vanishes).
+
+``C_j`` is never formed. A block spanning ``r_j`` grid cells keeps the
+``r_j x k`` factor ``F_j`` whose row ``g`` is
+``sqrt(kappa_j f_g) (s_g - s_bar)``, ``kappa_j = m_j/(m_j-1)``, so that
+``C_j = F_j' F_j``. The rows are centred on their weighted mean, so the
+rank of ``C_j`` is at most ``r_j - 1``, far below the factor count ``k``
+(about the grid cell count). Everything ``v_j`` needs comes from ``F_j``
+or from the ``r_j x r_j`` Gram ``G_j = F_j F_j'``: ``C_j`` and ``G_j``
+share their nonzero eigenvalues, so ``tr C_j = tr G_j``,
+``tr C_j^2 = ||G_j||_F^2`` and ``z' C_j z = ||F_j z||^2``.
 """
 
 from __future__ import annotations
@@ -33,11 +43,6 @@ import numpy as np
 from repro.chip.floorplan import Floorplan
 from repro.chip.geometry import GridSpec
 from repro.errors import ConfigurationError
-from repro.kernels.artifacts import (
-    load_artifact,
-    memoize_artifact,
-    store_artifact,
-)
 from repro.obs import metrics
 from repro.obs.trace import span
 from repro.stats.integration import NormalDist, PointMass
@@ -65,9 +70,10 @@ class BlodModel:
         ``(n_factors,)`` sensitivities of ``u_j`` to the factors.
     sigma_independent:
         The model's residual sigma ``lambda_r``.
-    v_matrix:
-        ``(n_factors, n_factors)`` quadratic-form matrix ``C_j`` of
-        ``v_j``.
+    v_factor:
+        ``(rank, n_factors)`` factor ``F_j`` of the quadratic form of
+        ``v_j``: ``C_j = F_j' F_j`` (form the dense matrix as
+        ``v_factor.T @ v_factor``).
     v_deterministic:
         Chip-independent contribution to the BLOD variance caused by
         *deterministic* thickness-mean differences between the grids a
@@ -80,17 +86,17 @@ class BlodModel:
     u_nominal: float
     u_sensitivities: np.ndarray
     sigma_independent: float
-    v_matrix: np.ndarray
+    v_factor: np.ndarray
     v_deterministic: float = 0.0
 
     def __post_init__(self) -> None:
         u_sens = np.asarray(self.u_sensitivities, dtype=float)
-        v_matrix = np.asarray(self.v_matrix, dtype=float)
+        v_factor = np.asarray(self.v_factor, dtype=float)
         if u_sens.ndim != 1:
             raise ConfigurationError("u_sensitivities must be 1-D")
-        if v_matrix.shape != (u_sens.size, u_sens.size):
+        if v_factor.ndim != 2 or v_factor.shape[1] != u_sens.size:
             raise ConfigurationError(
-                "v_matrix must be square with the factor dimension"
+                "v_factor must be (rank, n_factors) with the factor dimension"
             )
         if self.n_devices < 2:
             raise ConfigurationError(
@@ -98,8 +104,17 @@ class BlodModel:
             )
         if self.area <= 0.0:
             raise ConfigurationError(f"block {self.name!r} area must be positive")
+        for label, value in (
+            ("u_nominal", self.u_nominal),
+            ("u_sensitivities", u_sens),
+            ("v_factor", v_factor),
+        ):
+            if not np.isfinite(value).all():
+                raise ConfigurationError(
+                    f"block {self.name!r} has a non-finite {label}"
+                )
         object.__setattr__(self, "u_sensitivities", u_sens)
-        object.__setattr__(self, "v_matrix", 0.5 * (v_matrix + v_matrix.T))
+        object.__setattr__(self, "v_factor", v_factor)
 
     @property
     def n_factors(self) -> int:
@@ -124,6 +139,21 @@ class BlodModel:
         within-block spread from a wafer-level systematic pattern)."""
         return self.sigma_independent**2 + self.v_deterministic
 
+    @property
+    def _v_gram(self) -> np.ndarray:
+        """The ``(rank, rank)`` Gram ``G_j = F_j F_j'``, formed on first use.
+
+        ``G_j`` and ``C_j`` share their nonzero eigenvalues, so every
+        spectral quantity of ``v_j`` is read from this small matrix
+        (frozen dataclass: the cache is installed with
+        ``object.__setattr__``).
+        """
+        gram = getattr(self, "_v_gram_cache", None)
+        if gram is None:
+            gram = self.v_factor @ self.v_factor.T
+            object.__setattr__(self, "_v_gram_cache", gram)
+        return gram
+
     def u_dist(self) -> NormalDist:
         """Marginal distribution of the BLOD mean (exactly normal)."""
         return NormalDist(mean=self.u_nominal, sigma=self.u_sigma)
@@ -133,9 +163,11 @@ class BlodModel:
 
         This is the paper's representation: offset ``lambda_r^2`` plus the
         quadratic form ``z' C_j z``; the residual sampling fluctuation is
-        not in the matrix (see :meth:`v_chi2_match`).
+        not in the matrix (see :meth:`v_chi2_match`). The form's matrix is
+        the Gram ``G_j``: with ``w ~ N(0, I_rank)``, ``w' G_j w`` and
+        ``z' C_j z`` are the same mixture of ``chi2(1)`` variables.
         """
-        return QuadraticForm(offset=self.v_offset, matrix=self.v_matrix)
+        return QuadraticForm(offset=self.v_offset, matrix=self._v_gram)
 
     def v_traces(self, include_residual_fluctuation: bool = True) -> tuple[float, float]:
         """``(tr, tr_sq)`` of the full mixture defining ``v_j - 0``.
@@ -144,8 +176,9 @@ class BlodModel:
         residual sampling fluctuation is kept, ``m_j - 1`` copies of
         ``lambda_r^2 / (m_j - 1)``. Traces are available in closed form.
         """
-        trace = float(np.trace(self.v_matrix))
-        trace_sq = float(np.sum(self.v_matrix * self.v_matrix))
+        gram = self._v_gram
+        trace = float(np.trace(gram))
+        trace_sq = float(np.sum(gram * gram))
         if include_residual_fluctuation:
             trace += self.sigma_independent**2
             trace_sq += self.sigma_independent**4 / (self.n_devices - 1)
@@ -179,7 +212,7 @@ class BlodModel:
 
     def v_mean(self) -> float:
         """``E[v_j] = lambda_r^2 + tr(C_j)``."""
-        return self.v_offset + float(np.trace(self.v_matrix))
+        return self.v_offset + float(np.trace(self._v_gram))
 
     def u_samples(self, z: np.ndarray) -> np.ndarray:
         """Evaluate ``u_j`` on factor draws ``z`` of shape ``(n, k)``.
@@ -200,18 +233,12 @@ class BlodModel:
         With an ``rng`` the residual sampling factor ``W`` is drawn
         exactly; without one it is fixed at its mean (the paper's usage).
 
-        The quadratic form is evaluated through the (cached) low-rank
-        eigendecomposition of ``C_j``: a block spanning ``r`` grid cells
-        has rank <= r, far below the factor dimension, so this is
-        O(n_samples * k * r) instead of O(n_samples * k^2).
+        The quadratic part ``z' C_j z`` is the row-wise ``||z F_j'||^2``:
+        O(n_samples * k * rank) instead of O(n_samples * k^2).
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        eigvals, eigvecs = self._v_eigensystem()
-        if eigvals.size:
-            projections = z @ eigvecs
-            quadratic = (projections**2) @ eigvals
-        else:
-            quadratic = np.zeros(z.shape[0])
+        projections = z @ self.v_factor.T
+        quadratic = np.einsum("ij,ij->i", projections, projections)
         lambda_r_sq = self.sigma_independent**2
         if rng is None:
             residual = np.full(z.shape[0], lambda_r_sq)
@@ -219,38 +246,6 @@ class BlodModel:
             dof = self.n_devices - 1
             residual = lambda_r_sq * rng.chisquare(dof, size=z.shape[0]) / dof
         return self.v_deterministic + residual + quadratic
-
-    def _v_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached nonzero eigenpairs of ``C_j`` (frozen dataclass: the
-        cache is installed with ``object.__setattr__``).
-
-        The in-process cache is backed by a cross-process artifact entry
-        keyed on ``C_j`` itself, so a service worker pays the dense
-        ``eigh`` at most once per distinct block matrix; the stored
-        low-rank pair round-trips bit-exactly.
-        """
-        cached = getattr(self, "_v_eig_cache", None)
-        if cached is None:
-            payload = {"v_matrix": self.v_matrix}
-            stored = load_artifact("v_eigensystem", payload)
-            if (
-                stored is not None
-                and "eigvals" in stored
-                and "eigvecs" in stored
-            ):
-                cached = (stored["eigvals"], stored["eigvecs"])
-            else:
-                eigvals, eigvecs = np.linalg.eigh(self.v_matrix)
-                scale = max(float(np.abs(eigvals).max(initial=0.0)), 1e-300)
-                keep = np.abs(eigvals) > 1e-12 * scale
-                cached = (eigvals[keep], eigvecs[:, keep])
-                store_artifact(
-                    "v_eigensystem",
-                    payload,
-                    {"eigvals": cached[0], "eigvecs": cached[1]},
-                )
-            object.__setattr__(self, "_v_eig_cache", cached)
-        return cached
 
 
 def characterize_blods(
@@ -263,7 +258,7 @@ def characterize_blods(
 
     This is step 1 of the overall algorithm (Fig. 9): closed-form
     evaluation of the eq. (22) sensitivities and the eq. (24) quadratic
-    form for each block.
+    form factor for each block.
     """
     if model.n_grids != grid.n_cells:
         raise ConfigurationError(
@@ -279,116 +274,37 @@ def characterize_blods(
         blocks=floorplan.n_blocks,
         factors=model.n_factors,
     ):
-        # The counter lives here (not in the compute path) so it counts
-        # characterised blocks whether they came from the artifact cache
-        # or from a fresh closed-form evaluation.
         metrics.inc("blod.blocks", floorplan.n_blocks)
-        arrays = memoize_artifact(
-            "blod_characterization",
-            {
-                "names": [block.name for block in floorplan.blocks],
-                "areas": [block.total_oxide_area for block in floorplan.blocks],
-                "n_devices": [block.n_devices for block in floorplan.blocks],
-                "grid_indices": [a.grid_indices for a in assignments],
-                "fractions": [a.fractions for a in assignments],
-                "grid_means": model.grid_means,
-                "sensitivities": model.sensitivities,
-                "sigma_independent": model.sigma_independent,
-            },
-            lambda: _stack_blods(
-                _characterize(floorplan, model, assignments)
-            ),
-            required=(
-                "names",
-                "areas",
-                "n_devices",
-                "u_nominal",
-                "u_sensitivities",
-                "v_matrix",
-                "v_deterministic",
-            ),
-        )
-        return _blods_from_arrays(arrays, model.sigma_independent)
+        blods: list[BlodModel] = []
+        for block, assignment in zip(floorplan.blocks, assignments, strict=True):
+            fractions = assignment.fractions
+            grid_idx = assignment.grid_indices
+            sens = model.sensitivities[grid_idx, :]
+            means = model.grid_means[grid_idx]
 
+            u_nominal = float(fractions @ means)
+            u_sens = fractions @ sens
 
-def _stack_blods(blods: list[BlodModel]) -> dict[str, np.ndarray]:
-    """Flatten a characterisation into one array bundle for the cache."""
-    return {
-        "names": np.array([blod.name for blod in blods]),
-        "areas": np.array([blod.area for blod in blods], dtype=np.float64),
-        "n_devices": np.array(
-            [blod.n_devices for blod in blods], dtype=np.int64
-        ),
-        "u_nominal": np.array(
-            [blod.u_nominal for blod in blods], dtype=np.float64
-        ),
-        "u_sensitivities": np.stack(
-            [blod.u_sensitivities for blod in blods]
-        ),
-        "v_matrix": np.stack([blod.v_matrix for blod in blods]),
-        "v_deterministic": np.array(
-            [blod.v_deterministic for blod in blods], dtype=np.float64
-        ),
-    }
+            m = block.n_devices
+            kappa = m / (m - 1)
+            v_factor = sens - u_sens
+            v_factor *= np.sqrt(kappa * fractions)[:, None]
+            # Grid-mean differences within a block (wafer systematic
+            # pattern) contribute a chip-independent spread to the
+            # sample variance.
+            mean_dev = means - u_nominal
+            deterministic_spread = kappa * float(fractions @ mean_dev**2)
 
-
-def _blods_from_arrays(
-    arrays: dict[str, np.ndarray], sigma_independent: float
-) -> list[BlodModel]:
-    """Rebuild the model list from a (possibly cached) array bundle.
-
-    ``BlodModel.__post_init__`` re-symmetrises ``v_matrix``; on an
-    already-symmetric stored matrix ``0.5 * (M + M.T)`` is bitwise
-    idempotent, so cache hits reproduce the computed models exactly.
-    """
-    return [
-        BlodModel(
-            name=str(arrays["names"][j]),
-            area=float(arrays["areas"][j]),
-            n_devices=int(arrays["n_devices"][j]),
-            u_nominal=float(arrays["u_nominal"][j]),
-            u_sensitivities=arrays["u_sensitivities"][j],
-            sigma_independent=sigma_independent,
-            v_matrix=arrays["v_matrix"][j],
-            v_deterministic=float(arrays["v_deterministic"][j]),
-        )
-        for j in range(arrays["names"].shape[0])
-    ]
-
-
-def _characterize(
-    floorplan: Floorplan,
-    model: CanonicalThicknessModel,
-    assignments: list[BlockGridAssignment],
-) -> list[BlodModel]:
-    blods: list[BlodModel] = []
-    for block, assignment in zip(floorplan.blocks, assignments, strict=True):
-        fractions = assignment.fractions
-        grid_idx = assignment.grid_indices
-        sens = model.sensitivities[grid_idx, :]
-        means = model.grid_means[grid_idx]
-
-        u_nominal = float(fractions @ means)
-        u_sens = fractions @ sens
-
-        deviations = sens - u_sens
-        m = block.n_devices
-        weighted = deviations * fractions[:, None]
-        v_matrix = (m / (m - 1)) * (deviations.T @ weighted)
-        # Grid-mean differences within a block (wafer systematic pattern)
-        # contribute a chip-independent spread to the sample variance.
-        mean_dev = means - u_nominal
-        deterministic_spread = (m / (m - 1)) * float(fractions @ mean_dev**2)
-
-        blod = BlodModel(
-            name=block.name,
-            area=block.total_oxide_area,
-            n_devices=m,
-            u_nominal=u_nominal,
-            u_sensitivities=u_sens,
-            sigma_independent=model.sigma_independent,
-            v_matrix=v_matrix,
-            v_deterministic=deterministic_spread,
-        )
-        blods.append(blod)
-    return blods
+            blods.append(
+                BlodModel(
+                    name=block.name,
+                    area=block.total_oxide_area,
+                    n_devices=m,
+                    u_nominal=u_nominal,
+                    u_sensitivities=u_sens,
+                    sigma_independent=model.sigma_independent,
+                    v_factor=v_factor,
+                    v_deterministic=deterministic_spread,
+                )
+            )
+        return blods

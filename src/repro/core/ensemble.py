@@ -556,12 +556,15 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
             root = resolve_seed_sequence(seed)
         shards = plan_shards(n_samples, root, shard_size)
         exec_backend = backend if backend is not None else resolve_backend()
+        # One task per worker: a process backend pickles the blocks into
+        # every task, and grouping shards never changes the cloud.
         payloads = run_sharded(
             exec_backend,
             partial(
                 _st_mc_shard_task, tuple(self.blocks), include_residual_noise
             ),
             shards,
+            shards_per_task=math.ceil(len(shards) / exec_backend.jobs),
         )
         self._u_samples = [
             np.concatenate(

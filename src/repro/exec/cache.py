@@ -68,8 +68,10 @@ __all__ = [
 
 logger = get_logger("exec.cache")
 
-#: Bump to invalidate every existing cache entry on a format change.
-CACHE_SCHEMA = 1
+#: Bump to invalidate every existing cache entry on a format change or
+#: on a change in the numbers the code computes: the library version is
+#: static between releases, so it alone does not re-key stale results.
+CACHE_SCHEMA = 2
 
 #: The cache tiers a :class:`ResultCache` instance can belong to.
 CACHE_TIERS = ("local", "shared")
@@ -159,8 +161,9 @@ def _canonical(obj: Any) -> Any:
 def fingerprint(payload: Any) -> str:
     """A stable sha256 hex key for ``payload``.
 
-    The cache schema number and the library version are folded in, so any
-    code upgrade re-keys (and thereby invalidates) every entry.
+    The cache schema number and the library version are folded in, so a
+    release or a schema bump re-keys (and thereby invalidates) every
+    entry.
     """
     # Imported lazily: repro/__init__ -> core -> exec would otherwise cycle.
     from repro import __version__

@@ -1,15 +1,16 @@
 """Cross-request artifact cache for expensive derived kernels inputs.
 
 A busy ``repro serve`` / ``repro fleet`` deployment rebuilds the same
-derived artifacts on every request over a given design: the canonical
-PCA thickness model (one dense ``eigh`` of the grid covariance) and the
-BLOD characterisation (per-block quadratic forms, plus their lazy
-``_v_eigensystem`` eigendecompositions).  None of those depend on the
-request's times or ppm target — only on the design, the analysis
-configuration and the code version — so they are perfect
-content-addressed cache entries.  Hybrid look-up tables are not cached:
-their columns fill on demand, in less time than hashing a key for them
-would take.
+derived artifacts on every request over a given design.  Two of them
+need a dense ``eigh`` over the grid cells and are cached: the grid
+correlation matrix (its PSD projection) and the canonical PCA thickness
+model.  Both are keyed by their recipe — the grid's shape and size, the
+correlation kernel and distance, the variation budget and the PCA
+truncation — so a warm analyzer build hashes a few numbers and reads one
+entry, the canonical model.  The BLOD characterisation is not cached:
+each block's low-rank variance factor comes straight from the canonical
+model in less time than reading it would take.  Hybrid look-up tables
+are not cached either: their columns fill on demand.
 
 :class:`ArtifactCache` is a thin :class:`~repro.exec.cache.ResultCache`
 subclass: same two-level ``.npz`` layout, atomic tempfile+rename writes,
@@ -19,8 +20,8 @@ and corruption→recompute contract, but with its own metric namespace
 (``$REPRO_ARTIFACT_CACHE_DIR``, default ``<result root>/artifacts``) so
 ``repro cache clear --artifacts`` can purge it without touching result
 entries.  Keys go through :func:`~repro.exec.cache.fingerprint`, which
-folds the cache schema and the library version in — upgrading the code
-invalidates every stale artifact without a migration step.
+folds the cache schema and the library version in — a release or a
+schema bump invalidates every stale artifact without a migration step.
 
 The cache is **on by default** (it only ever stores values that are
 bit-exact reconstructions of what the compute path returns — see the
@@ -54,10 +55,8 @@ __all__ = [
     "artifacts_enabled",
     "default_artifact_cache_dir",
     "get_artifact_cache",
-    "load_artifact",
     "memoize_artifact",
     "set_artifacts_enabled",
-    "store_artifact",
     "use_artifacts",
 ]
 
@@ -177,36 +176,6 @@ def artifact_key(kind: str, payload: Any) -> str:
     return fingerprint(
         {"kind": "kernels.artifact", "artifact": kind, "payload": payload}
     )
-
-
-def load_artifact(
-    kind: str, payload: Any
-) -> dict[str, np.ndarray] | None:
-    """Cached arrays for the artifact, or ``None`` (miss/corrupt/disabled)."""
-    cache = get_artifact_cache()
-    if cache is None:
-        return None
-    return cache.get(artifact_key(kind, payload))
-
-
-def store_artifact(
-    kind: str,
-    payload: Any,
-    arrays: dict[str, np.ndarray],
-    meta: dict[str, Any] | None = None,
-) -> None:
-    """Best-effort store: I/O failures are logged, never raised."""
-    cache = get_artifact_cache()
-    if cache is None:
-        return
-    try:
-        cache.put(
-            artifact_key(kind, payload),
-            arrays,
-            meta={"artifact": kind, **(meta or {})},
-        )
-    except OSError as exc:
-        logger.warning("cannot store %s artifact: %s", kind, exc)
 
 
 def memoize_artifact(

@@ -105,6 +105,31 @@ class CanonicalThicknessModel:
         return np.sqrt(self.grid_sigma() ** 2 + self.sigma_independent**2)
 
 
+def validate_mean_offsets(
+    mean_offsets: np.ndarray | None, n_grids: int
+) -> np.ndarray | None:
+    """``mean_offsets`` as a float array, checked for shape and finiteness.
+
+    A wafer-level offset is added to a grid's nominal thickness, so a
+    NaN or infinite cell would poison every block that spans it.
+    """
+    if mean_offsets is None:
+        return None
+    mean_offsets = np.asarray(mean_offsets, dtype=float)
+    if mean_offsets.shape != (n_grids,):
+        raise ConfigurationError(
+            f"mean_offsets must have shape ({n_grids},), got {mean_offsets.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(mean_offsets))
+    if bad.size:
+        cell = int(bad[0])
+        raise ConfigurationError(
+            f"mean_offsets must be finite; grid cell {cell} is "
+            f"{mean_offsets[cell]}"
+        )
+    return mean_offsets
+
+
 def build_canonical_model(
     budget: VariationBudget,
     correlation: SpatialCorrelationModel,
@@ -143,16 +168,12 @@ def build_canonical_model(
         raise ConfigurationError(f"energy must be in (0, 1], got {energy}")
     if max_factors is not None and max_factors < 0:
         raise ConfigurationError(f"max_factors must be >= 0, got {max_factors}")
-    n_grids = correlation.grid.n_cells
-    if mean_offsets is not None:
-        mean_offsets = np.asarray(mean_offsets, dtype=float)
-        if mean_offsets.shape != (n_grids,):
-            raise ConfigurationError(
-                f"mean_offsets must have shape ({n_grids},), got {mean_offsets.shape}"
-            )
-    covariance = correlation.covariance_matrix(budget.sigma_spatial)
+    grid = correlation.grid
+    n_grids = grid.n_cells
+    mean_offsets = validate_mean_offsets(mean_offsets, n_grids)
 
     def _compute() -> dict[str, np.ndarray]:
+        covariance = correlation.covariance_matrix(budget.sigma_spatial)
         with span("pca.eig", grids=n_grids):
             eigvals, eigvecs = np.linalg.eigh(covariance)
         # eigh returns ascending order; flip to descending.
@@ -180,12 +201,20 @@ def build_canonical_model(
         return {"grid_means": grid_means, "sensitivities": sensitivities}
 
     # The eigendecomposition dominates an analyzer build; memoize the
-    # canonical model across processes keyed on the exact covariance
-    # matrix plus every knob that shapes the factor basis.
+    # canonical model across processes keyed on its recipe. GridSpec and
+    # SpatialCorrelationModel are frozen value types, so these fields
+    # determine the covariance exactly (as in the correlation_matrix
+    # key), and a hit never forms or reads the covariance.
     arrays = memoize_artifact(
         "canonical_model",
         {
-            "covariance": covariance,
+            "nx": grid.nx,
+            "ny": grid.ny,
+            "width": grid.width,
+            "height": grid.height,
+            "rho_dist": correlation.rho_dist,
+            "kernel": correlation.kernel,
+            "sigma_spatial": budget.sigma_spatial,
             "sigma_global": budget.sigma_global,
             "sigma_independent": budget.sigma_independent,
             "nominal_thickness": budget.nominal_thickness,

@@ -21,7 +21,7 @@ import numpy as np
 from repro.chip.geometry import GridSpec
 from repro.errors import ConfigurationError
 from repro.variation.components import VariationBudget
-from repro.variation.pca import CanonicalThicknessModel
+from repro.variation.pca import CanonicalThicknessModel, validate_mean_offsets
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,8 @@ def build_quadtree_model(
     global_sens = np.full((grid.n_cells, 1), budget.sigma_global)
     sensitivities = np.hstack([global_sens, spatial_sens])
     grid_means = np.full(grid.n_cells, budget.nominal_thickness)
+    mean_offsets = validate_mean_offsets(mean_offsets, grid.n_cells)
     if mean_offsets is not None:
-        mean_offsets = np.asarray(mean_offsets, dtype=float)
-        if mean_offsets.shape != (grid.n_cells,):
-            raise ConfigurationError(
-                f"mean_offsets must have shape ({grid.n_cells},), "
-                f"got {mean_offsets.shape}"
-            )
         grid_means = grid_means + mean_offsets
     return CanonicalThicknessModel(
         grid_means=grid_means,

@@ -14,6 +14,7 @@ from repro.stats.integration import NormalDist
 from repro.stats.quadform import Chi2Match
 from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.pca import build_canonical_model
+from repro.variation.quadtree import build_quadtree_model
 from repro.variation.sampling import ChipSampler
 from repro.variation.wafer import WaferPattern
 
@@ -133,7 +134,7 @@ class TestBlodModelValidation:
                 u_nominal=2.2,
                 u_sensitivities=np.zeros(3),
                 sigma_independent=0.01,
-                v_matrix=np.zeros((4, 4)),
+                v_factor=np.zeros((2, 4)),
             )
 
     def test_rejects_single_device(self):
@@ -145,7 +146,7 @@ class TestBlodModelValidation:
                 u_nominal=2.2,
                 u_sensitivities=np.zeros(2),
                 sigma_independent=0.01,
-                v_matrix=np.zeros((2, 2)),
+                v_factor=np.zeros((1, 2)),
             )
 
     def test_rejects_zero_area(self):
@@ -157,8 +158,49 @@ class TestBlodModelValidation:
                 u_nominal=2.2,
                 u_sensitivities=np.zeros(2),
                 sigma_independent=0.01,
-                v_matrix=np.zeros((2, 2)),
+                v_factor=np.zeros((1, 2)),
             )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "target",
+    ["canonical", "quadtree", "u_nominal", "u_sensitivities", "v_factor"],
+)
+def test_non_finite_inputs_rejected(target, value, small_floorplan, budget):
+    """A non-finite wafer offset or BLOD entry is refused where it enters,
+    by a message naming the grid cell or the block."""
+    if target in ("canonical", "quadtree"):
+        grid = small_floorplan.make_grid(3)
+        offsets = np.zeros(grid.n_cells)
+        offsets[4] = value
+        with pytest.raises(ConfigurationError, match="grid cell 4"):
+            if target == "canonical":
+                build_canonical_model(
+                    budget,
+                    SpatialCorrelationModel(grid=grid),
+                    mean_offsets=offsets,
+                )
+            else:
+                build_quadtree_model(budget, grid, mean_offsets=offsets)
+        return
+    fields = {
+        "u_nominal": 2.2,
+        "u_sensitivities": np.zeros(3),
+        "v_factor": np.zeros((2, 3)),
+    }
+    if target == "u_nominal":
+        fields["u_nominal"] = value
+    else:
+        fields[target][-1] = value
+    with pytest.raises(ConfigurationError, match=f"'core7'.*{target}"):
+        BlodModel(
+            name="core7",
+            area=1.0,
+            n_devices=100,
+            sigma_independent=0.01,
+            **fields,
+        )
 
 
 class TestSingleGridBlock:
@@ -172,8 +214,12 @@ class TestSingleGridBlock:
         model = build_canonical_model(budget, correlation)
         return characterize_blods(small_floorplan, grid, model)[0]
 
-    def test_v_matrix_vanishes(self, single_grid_blod):
-        np.testing.assert_allclose(single_grid_blod.v_matrix, 0.0, atol=1e-18)
+    def test_v_factor_vanishes(self, single_grid_blod):
+        assert single_grid_blod.v_factor.shape == (
+            1,
+            single_grid_blod.n_factors,
+        )
+        np.testing.assert_allclose(single_grid_blod.v_factor, 0.0, atol=1e-18)
 
     def test_v_chi2_match_is_exact_residual(self, single_grid_blod, budget):
         match = single_grid_blod.v_chi2_match(include_residual_fluctuation=True)

@@ -9,7 +9,9 @@ from repro.core.ensemble import (
     StMcAnalyzer,
     worst_case_blocks,
 )
+from repro import obs
 from repro.errors import ConfigurationError
+from repro.exec import ProcessBackend, ThreadBackend
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,31 @@ class TestStMcAnalyzer:
         b = StMcAnalyzer(blocks, n_samples=5000, seed=9)
         np.testing.assert_array_equal(
             a.reliability(times), b.reliability(times)
+        )
+
+    @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+    def test_sharded_sampling_sends_one_task_per_worker(
+        self, blocks, times, cls
+    ):
+        """A pool backend receives one task per worker, not one per shard
+        (a process backend pickles the blocks into every task), and the
+        grouping leaves the sample cloud unchanged."""
+        serial = StMcAnalyzer(blocks, n_samples=2000, seed=4, shard_size=64)
+        backend = cls(2)
+        try:
+            obs.reset()
+            with obs.enabled():
+                pooled = StMcAnalyzer(
+                    blocks, n_samples=2000, seed=4, backend=backend,
+                    shard_size=64,
+                )
+                counters = obs.metrics_snapshot()["counters"]
+        finally:
+            backend.close()
+        assert counters["exec.shards"] == 32
+        assert counters["exec.tasks"] == 2
+        np.testing.assert_array_equal(
+            pooled.reliability(times), serial.reliability(times)
         )
 
     def test_moment_samples_exposed(self, blocks):

@@ -230,3 +230,35 @@ class TestJsonPayloadEntries:
         with obs.enabled():
             assert get_json_payload(cache, key) is None
             assert obs.get_counter("exec.cache.corrupt") == 1.0
+
+
+def test_every_key_changes_with_the_schema(monkeypatch, tmp_path):
+    """Bumping ``CACHE_SCHEMA`` re-keys results, service jobs, batch
+    cells, checkpoints and artifacts, so no stale entry is served after a
+    change in the numbers the code computes."""
+    from repro.exec import cache as cache_module
+    from repro.exec.batch import SweepSpec, _cell_key
+    from repro.exec.checkpoint import Checkpoint
+    from repro.kernels.artifacts import artifact_key
+    from repro.service.requests import JobRequest
+
+    request = JobRequest.from_dict(
+        {"kind": "lifetime", "design": "C1", "grid": 6, "methods": ["st_fast"]}
+    )
+    spec = SweepSpec(designs=("C1",), methods=("st_fast",))
+
+    def keys() -> dict[str, str]:
+        return {
+            "result": fingerprint({"x": 1}),
+            "service.job": request.key,
+            "batch.cell": _cell_key(spec, {"design": "C1"}),
+            "checkpoint": Checkpoint(tmp_path / "ck", {"seed": 1}).meta_fingerprint,
+            "artifact": artifact_key("canonical_model", {"nx": 6}),
+        }
+
+    before = keys()
+    monkeypatch.setattr(
+        cache_module, "CACHE_SCHEMA", cache_module.CACHE_SCHEMA + 1
+    )
+    after = keys()
+    assert all(after[name] != before[name] for name in before)

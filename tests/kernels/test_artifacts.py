@@ -112,22 +112,37 @@ class TestMemoize:
 
 
 class TestAnalyzerReuse:
+    @staticmethod
+    def _artifact_counts(build):
+        obs.reset()
+        with obs.enabled():
+            result = build()
+            counters = obs.metrics_snapshot()["counters"]
+        counts = {
+            name: counters.get(f"kernels.artifacts.{name}", 0.0)
+            for name in ("hit", "miss", "store")
+        }
+        return result, counts
+
     def test_second_analyzer_build_hits_and_matches(
         self, artifact_dir, small_floorplan, fast_config
     ):
-        cold = ReliabilityAnalyzer(small_floorplan, config=fast_config)
-        cold_lifetime = cold.lifetime(10.0, method="st_fast")
-        with obs.enabled():
-            warm = ReliabilityAnalyzer(small_floorplan, config=fast_config)
-            warm_lifetime = warm.lifetime(10.0, method="st_fast")
-            counters = obs.metrics_snapshot()["counters"]
-        assert counters["kernels.artifacts.hit"] >= 2  # PCA + BLODs
+        def build():
+            analyzer = ReliabilityAnalyzer(small_floorplan, config=fast_config)
+            return analyzer, analyzer.lifetime(10.0, method="st_fast")
+
+        (cold, cold_lifetime), cold_counts = self._artifact_counts(build)
+        (warm, warm_lifetime), warm_counts = self._artifact_counts(build)
+        # Cold: the correlation matrix and the canonical model; warm: only
+        # the recipe-keyed canonical model, which never reads the other.
+        assert cold_counts == {"hit": 0.0, "miss": 2.0, "store": 2.0}
+        assert warm_counts == {"hit": 1.0, "miss": 0.0, "store": 0.0}
         assert warm_lifetime == cold_lifetime
         np.testing.assert_array_equal(
             warm.canonical.sensitivities, cold.canonical.sensitivities
         )
-        for blod_a, blod_b in zip(cold.blods, warm.blods):
-            np.testing.assert_array_equal(blod_a.v_matrix, blod_b.v_matrix)
+        for blod_a, blod_b in zip(cold.blods, warm.blods, strict=True):
+            np.testing.assert_array_equal(blod_a.v_factor, blod_b.v_factor)
 
     def test_cross_process_reuse(self, artifact_dir, tmp_path):
         """A second process reuses entries the first one stored."""
@@ -157,6 +172,107 @@ class TestAnalyzerReuse:
             import json
 
             runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-        assert runs[0]["stores"] >= 2 and runs[0]["hits"] == 0
-        assert runs[1]["hits"] >= 2 and runs[1]["stores"] == 0
+        assert runs[0]["stores"] == 2 and runs[0]["hits"] == 0
+        assert runs[1]["hits"] == 1 and runs[1]["stores"] == 0
         assert runs[1]["lifetime"] == runs[0]["lifetime"]
+
+
+class TestCanonicalModelKey:
+    """The canonical model is keyed by its recipe, not by the covariance."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[tuple[str, str]]:
+        """Record ``(kind, "hit" | "miss")`` of every memoized artifact."""
+        from repro.variation import correlation, pca
+
+        real = pca.memoize_artifact
+        calls: list[tuple[str, str]] = []
+
+        def spy(kind, payload, compute, required=()):
+            computed = []
+
+            def tracked():
+                computed.append(kind)
+                return compute()
+
+            arrays = real(kind, payload, tracked, required)
+            calls.append((kind, "miss" if computed else "hit"))
+            return arrays
+
+        monkeypatch.setattr(pca, "memoize_artifact", spy)
+        monkeypatch.setattr(correlation, "memoize_artifact", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "grid",
+            "rho_dist",
+            "kernel",
+            "sigma_spatial",
+            "energy",
+            "max_factors",
+            "mean_offsets",
+        ],
+    )
+    def test_recipe_field_change_misses(self, artifact_dir, monkeypatch, field):
+        from types import SimpleNamespace
+
+        from repro import VariationBudget
+        from repro.chip.geometry import GridSpec
+        from repro.variation.correlation import SpatialCorrelationModel
+        from repro.variation.pca import build_canonical_model
+
+        table2 = VariationBudget.table2()
+        base = {
+            "grid": GridSpec(nx=4, ny=4, width=2.0, height=2.0),
+            "rho_dist": 0.5,
+            "kernel": "exponential",
+            # Only the four budget numbers the model reads, so that one
+            # of them can change alone.
+            "sigma_spatial": table2.sigma_spatial,
+            "energy": 0.9999,
+            "max_factors": None,
+            "mean_offsets": None,
+        }
+        changed = {
+            "grid": GridSpec(nx=4, ny=3, width=2.0, height=2.0),
+            "rho_dist": 0.25,
+            "kernel": "gaussian",
+            "sigma_spatial": 1.5 * table2.sigma_spatial,
+            "energy": 0.99,
+            "max_factors": 3,
+            "mean_offsets": np.linspace(0.0, 0.01, 16),
+        }
+
+        def build(recipe):
+            budget = SimpleNamespace(
+                sigma_spatial=recipe["sigma_spatial"],
+                sigma_global=table2.sigma_global,
+                sigma_independent=table2.sigma_independent,
+                nominal_thickness=table2.nominal_thickness,
+            )
+            correlation = SpatialCorrelationModel(
+                grid=recipe["grid"],
+                rho_dist=recipe["rho_dist"],
+                kernel=recipe["kernel"],
+            )
+            return build_canonical_model(
+                budget,
+                correlation,
+                energy=recipe["energy"],
+                max_factors=recipe["max_factors"],
+                mean_offsets=recipe["mean_offsets"],
+            )
+
+        calls = self._spy(monkeypatch)
+        cold = build(base)
+        assert calls == [("correlation_matrix", "miss"), ("canonical_model", "miss")]
+        calls.clear()
+        warm = build(base)
+        # A hit never forms the covariance, so it reads no correlation matrix.
+        assert calls == [("canonical_model", "hit")]
+        np.testing.assert_array_equal(warm.sensitivities, cold.sensitivities)
+        calls.clear()
+        build(dict(base, **{field: changed[field]}))
+        assert ("canonical_model", "miss") in calls
