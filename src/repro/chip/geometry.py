@@ -208,14 +208,8 @@ class GridSpec:
 
         The per-axis clipped-interval evaluation performs the same float
         operations as :meth:`Rect.overlap_area` per straddled cell, so the
-        result is bit-identical to :meth:`_overlap_fractions_reference`.
+        result is bit-identical to a loop over :meth:`cell_rect` overlaps.
         """
-        # Imported here: repro.kernels pulls in repro.core, which imports
-        # this module back.
-        from repro.kernels.config import fast_paths_enabled
-
-        if not fast_paths_enabled():
-            return self._overlap_fractions_reference(rect)
         fractions = np.zeros(self.n_cells)
         col_lo = max(int(rect.x / self.cell_width), 0)
         col_hi = min(int(np.ceil(rect.x2 / self.cell_width)), self.nx)
@@ -236,25 +230,6 @@ class GridSpec:
         )
         window = fractions.reshape(self.ny, self.nx)[row_lo:row_hi, col_lo:col_hi]
         window[:] = overlap / rect.area
-        return fractions
-
-    def _overlap_fractions_reference(self, rect: Rect) -> np.ndarray:
-        """Loop-per-cell reference implementation of :meth:`overlap_fractions`.
-
-        Kept for the kernel equivalence tests; :meth:`overlap_fractions`
-        must reproduce this bit for bit.
-        """
-        fractions = np.zeros(self.n_cells)
-        col_lo = max(int(rect.x / self.cell_width), 0)
-        col_hi = min(int(np.ceil(rect.x2 / self.cell_width)), self.nx)
-        row_lo = max(int(rect.y / self.cell_height), 0)
-        row_hi = min(int(np.ceil(rect.y2 / self.cell_height)), self.ny)
-        for row in range(row_lo, row_hi):
-            for col in range(col_lo, col_hi):
-                index = row * self.nx + col
-                overlap = self.cell_rect(index).overlap_area(rect)
-                if overlap > 0.0:
-                    fractions[index] = overlap / rect.area
         return fractions
 
     def field_to_image(self, values: np.ndarray) -> np.ndarray:

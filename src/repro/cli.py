@@ -11,7 +11,6 @@ Commands
                 phase schedule x mechanism set, see docs/scenarios.md)
 ``report``      one-page design report (thermal map, lifetimes, budget)
 ``batch``       sweep benchmarks x temperatures x methods into one report
-``bench``       performance benchmarks (``kernels``: fast paths vs reference)
 ``cache``       result-cache maintenance (``stats``/``clear``)
 ``serve``       HTTP reliability service (async job queue, see docs/service.md)
 ``fleet``       distributed runs over ``serve`` workers (``run``/``status``,
@@ -47,7 +46,6 @@ from repro.chip.benchmarks import BENCHMARK_DEVICE_COUNTS, make_benchmark
 from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
 from repro.errors import ReproError
 from repro.exec.backends import resolve_backend
-from repro.kernels.bench import DEFAULT_BENCH_PATH
 from repro.units import hours_to_years
 
 
@@ -313,7 +311,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         backend=backend,
         cache=cache,
         use_cache=not args.no_cache,
-        fuse=not args.no_fuse,
     )
     _emit(args, report, batch_table(report))
     return 0
@@ -375,23 +372,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"removed {removed} cache entr"
             f"{'y' if removed == 1 else 'ies'} from {root}",
         )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported here: the benchmark harness pulls in the full stack.
-    from repro.kernels.bench import (
-        format_kernel_report,
-        run_kernel_benchmarks,
-        write_bench_json,
-    )
-
-    results = run_kernel_benchmarks(args.scale)
-    text = format_kernel_report(results)
-    if not args.no_save:
-        path = write_bench_json(results, args.output)
-        text += f"\nwrote {path}"
-    _emit(args, results, text)
     return 0
 
 
@@ -730,13 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute every cell, bypassing the result cache",
     )
     p_batch.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="evaluate each temperature cell separately instead of fusing "
-        "the st_fast/temp_unaware temperature axis into one kernel "
-        "dispatch per design (results are bit-identical either way)",
-    )
-    p_batch.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -746,33 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_argument(p_batch)
     _add_obs_arguments(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
-
-    p_bench = sub.add_parser("bench", help="performance benchmarks")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_kernels = bench_sub.add_parser(
-        "kernels",
-        help="time the repro.kernels fast paths against the reference "
-        "implementations",
-    )
-    p_kernels.add_argument(
-        "--scale",
-        choices=("quick", "full"),
-        default="quick",
-        help="workload size (default quick, ~1 min)",
-    )
-    p_kernels.add_argument(
-        "--output",
-        metavar="FILE",
-        default=DEFAULT_BENCH_PATH,
-        help=f"benchmark report destination (default {DEFAULT_BENCH_PATH})",
-    )
-    p_kernels.add_argument(
-        "--no-save",
-        action="store_true",
-        help="print the report without writing the JSON file",
-    )
-    _add_obs_arguments(p_kernels)
-    p_kernels.set_defaults(func=_cmd_bench)
 
     p_serve = sub.add_parser(
         "serve", help="HTTP reliability service (see docs/service.md)"

@@ -158,12 +158,22 @@ def _check_block_arrays(*arrays: np.ndarray) -> None:
         raise ConfigurationError("per-block arrays must be 1-D")
 
 
+def check_times(times: np.ndarray) -> None:
+    """Reject evaluation times that are negative, infinite or NaN.
+
+    One pass over the array: NaN fails both comparisons.  Without it an
+    infinite time would take the ``t = 0`` branch of the log-ratio
+    kernels and read survival 1.
+    """
+    if not ((times >= 0.0) & (times < np.inf)).all():
+        raise ConfigurationError("times must be finite and non-negative")
+
+
 def safe_log_t_ratio(t: np.ndarray | float, alpha: float) -> np.ndarray:
     """``ln(t / alpha)`` with ``t = 0`` mapped to ``-inf`` safely."""
     if alpha <= 0.0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ConfigurationError("times must be non-negative")
+    check_times(t)
     with np.errstate(divide="ignore"):
         return np.where(t > 0.0, np.log(t / alpha), -np.inf)

@@ -28,7 +28,12 @@ from functools import partial
 import numpy as np
 
 from repro.core.blod import BlodModel
-from repro.core.closed_form import _EXP_MAX, _EXP_MIN, safe_log_t_ratio
+from repro.core.closed_form import (
+    _EXP_MAX,
+    _EXP_MIN,
+    check_times,
+    safe_log_t_ratio,
+)
 from repro.errors import ConfigurationError
 from repro.exec.backends import ExecBackend, resolve_backend
 from repro.exec.runner import run_sharded
@@ -38,7 +43,6 @@ from repro.exec.sharding import (
     plan_shards,
     resolve_seed_sequence,
 )
-from repro.kernels.config import fast_paths_enabled
 from repro.kernels.survival import (
     batched_rule_expectations,
     batched_sample_expectations,
@@ -146,17 +150,9 @@ class _EnsembleAnalyzerBase:
 
     blocks: list[BlockReliability]
 
-    def block_expectation(self, index: int, times: np.ndarray) -> np.ndarray:
-        """``E[exp(-A_j g(u_j, v_j))]`` at each time; per-analyzer."""
+    def _block_expectations(self, times: np.ndarray) -> np.ndarray:
+        """``(n_blocks, n_times)`` ``E[exp(-A_j g(u_j, v_j))]``; per-analyzer."""
         raise NotImplementedError
-
-    def _batched_expectations(self, times: np.ndarray) -> np.ndarray | None:
-        """``(n_blocks, n_times)`` fused fast-path expectations, if any.
-
-        Subclasses return ``None`` when no batched kernel applies (then
-        the per-block reference loop below runs instead).
-        """
-        return None
 
     def _weibull_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block ``(alphas, bs)`` arrays, built once per analyzer."""
@@ -175,8 +171,7 @@ class _EnsembleAnalyzerBase:
         ``t = 0`` maps to ``-inf`` (survival 1 downstream), matching
         :func:`repro.core.closed_form.safe_log_t_ratio` per block.
         """
-        if np.any(times < 0.0):
-            raise ConfigurationError("times must be non-negative")
+        check_times(times)
         alphas, bs = self._weibull_vectors()
         with np.errstate(divide="ignore"):
             ratios = np.where(
@@ -189,14 +184,7 @@ class _EnsembleAnalyzerBase:
     def block_failure_probabilities(self, times: np.ndarray | float) -> np.ndarray:
         """``(n_blocks, n_times)`` ensemble block failure probabilities."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if fast_paths_enabled():
-            expectations = self._batched_expectations(times)
-            if expectations is not None:
-                return 1.0 - expectations
-        out = np.empty((len(self.blocks), times.size))
-        for j in range(len(self.blocks)):
-            out[j] = 1.0 - self.block_expectation(j, times)
-        return out
+        return 1.0 - self._block_expectations(times)
 
     def reliability(
         self, times: np.ndarray | float, clip: bool = True
@@ -258,11 +246,11 @@ class StFastAnalyzer(_EnsembleAnalyzerBase):
         blods = [block.blod for block in self.blocks]
         with span("st_fast.rules", blocks=len(self.blocks), l0=l0, rule=rule):
             if rule == "midpoint":
-                self._rules = midpoint_block_rules(
+                rules = midpoint_block_rules(
                     blods, l0, tail, include_residual_fluctuation
                 )
             else:
-                self._rules = [
+                rules = [
                     (
                         gauss_hermite_rule(blod.u_dist(), n_points=max(l0, 8)),
                         quantile_rule(
@@ -277,13 +265,13 @@ class StFastAnalyzer(_EnsembleAnalyzerBase):
             self._u_weights,
             self._v_points,
             self._v_weights,
-        ) = pad_block_rules(self._rules)
+        ) = pad_block_rules(rules)
         self._log_areas = np.log([block.blod.area for block in self.blocks])
         self._rule_nodes = sum(
-            u.points.size * v.points.size for u, v in self._rules
+            u.points.size * v.points.size for u, v in rules
         )
 
-    def _batched_expectations(self, times: np.ndarray) -> np.ndarray:
+    def _block_expectations(self, times: np.ndarray) -> np.ndarray:
         """All blocks' tensor-rule integrals in one fused evaluation."""
         log_t_ratios = self._scaled_log_t_ratios(times)
         metrics.inc("integration.subdomain_evals", times.size * self._rule_nodes)
@@ -294,22 +282,6 @@ class StFastAnalyzer(_EnsembleAnalyzerBase):
             self._u_weights,
             self._v_points,
             self._v_weights,
-        )
-
-    def block_expectation(self, index: int, times: np.ndarray) -> np.ndarray:
-        """Midpoint/Gauss tensor-rule evaluation of the double integral."""
-        block = self.blocks[index]
-        u_rule, v_rule = self._rules[index]
-        log_t_ratio = safe_log_t_ratio(times, block.alpha)
-        survival = _survival_on_grid(
-            log_t_ratio, block.b, block.blod.area, u_rule.points, v_rule.points
-        )
-        metrics.inc(
-            "integration.subdomain_evals",
-            times.size * u_rule.points.size * v_rule.points.size,
-        )
-        return np.einsum(
-            "tpq,p,q->t", survival, u_rule.weights, v_rule.weights
         )
 
 
@@ -328,12 +300,10 @@ def sweep_reliabilities(
 
     Returns one clipped reliability array per analyzer — bitwise identical
     to ``analyzer.reliability(times)`` — or ``None`` when fusion does not
-    apply (fast paths off, mismatched rule tables, or the fused kernel
-    declines the shape); callers must then fall back to per-analyzer calls.
+    apply (mismatched rule tables, or the fused kernel declines the
+    shape); callers must then fall back to per-analyzer calls.
     """
     if not analyzers or len(analyzers) != len(times_list):
-        return None
-    if not fast_paths_enabled():
         return None
     base = analyzers[0]
     for analyzer in analyzers[1:]:
@@ -354,8 +324,7 @@ def sweep_reliabilities(
         # scale are elementwise ufuncs, so each slice is bitwise equal to
         # the per-analyzer ``_scaled_log_t_ratios`` result.
         times_mat = np.stack(times_arrays)  # (n_analyzers, n_times)
-        if np.any(times_mat < 0.0):
-            raise ConfigurationError("times must be non-negative")
+        check_times(times_mat)
         vectors = [analyzer._weibull_vectors() for analyzer in analyzers]
         alphas_mat = np.stack([alphas for alphas, _ in vectors])
         bs_mat = np.stack([bs for _, bs in vectors])
@@ -583,15 +552,20 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
         """The (u, v) sample cloud of one block (diagnostics, Fig. 6/7)."""
         return self._u_samples[index], self._v_samples[index]
 
-    def _batched_expectations(self, times: np.ndarray) -> np.ndarray | None:
-        """Fused sample-average estimator over all blocks at once.
+    def _block_expectations(self, times: np.ndarray) -> np.ndarray:
+        """Sample-average or histogram-integrated block expectations.
 
-        Only the ``"samples"`` estimator batches; the histogram estimator
-        keeps the per-block reference loop (its cost is dominated by the
-        2-D histogram builds, not the survival evaluation).
+        The ``"samples"`` estimator runs one fused kernel over all blocks;
+        the histogram estimator loops over blocks, since its cost is the
+        per-block 2-D histogram builds, not the survival evaluation.
         """
-        if self.estimator != "samples":
-            return None
+        if self.estimator == "histogram":
+            return np.stack(
+                [
+                    self._histogram_expectation(j, times)
+                    for j in range(len(self.blocks))
+                ]
+            )
         if not hasattr(self, "_u_stack"):
             # Blocks share one factor draw, so the clouds stack rectangular.
             self._u_stack = np.vstack(self._u_samples)
@@ -606,22 +580,12 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
             self._v_stack,
         )
 
-    def block_expectation(self, index: int, times: np.ndarray) -> np.ndarray:
-        """Sample-average or histogram-integrated block expectation."""
+    def _histogram_expectation(self, index: int, times: np.ndarray) -> np.ndarray:
+        """One block's expectation over its 2-D histogram joint PDF."""
         block = self.blocks[index]
         u = self._u_samples[index]
         v = self._v_samples[index]
         log_t_ratio = safe_log_t_ratio(times, block.alpha)
-        if self.estimator == "samples":
-            scaled = block.b * log_t_ratio[:, None]
-            finite = np.isfinite(scaled)
-            scaled_safe = np.where(finite, scaled, 0.0)
-            log_g = scaled_safe * u[None, :] + 0.5 * scaled_safe**2 * v[None, :]
-            exponent = np.clip(
-                np.log(block.blod.area) + log_g, _EXP_MIN, _EXP_MAX
-            )
-            survival = np.where(finite, np.exp(-np.exp(exponent)), 1.0)
-            return survival.mean(axis=1)
         counts, u_edges, v_edges = np.histogram2d(u, v, bins=self.bins)
         probabilities = counts / counts.sum()
         u_mid = 0.5 * (u_edges[:-1] + u_edges[1:])

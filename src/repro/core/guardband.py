@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.closed_form import check_times
 from repro.errors import ConfigurationError
 
 
@@ -51,16 +52,14 @@ class GuardBandAnalyzer:
     def reliability(self, times: np.ndarray | float) -> np.ndarray | float:
         """Eq. (33): ``R(t) = exp(-A (t/alpha)^(b x_min))``."""
         times = np.asarray(times, dtype=float)
-        if np.any(times < 0.0):
-            raise ConfigurationError("times must be non-negative")
+        check_times(times)
         value = np.exp(-self.total_area * (times / self.alpha_worst) ** self.beta)
         return value if value.ndim else float(value)
 
     def failure_probability(self, times: np.ndarray | float) -> np.ndarray | float:
         """``1 - R(t)`` computed stably."""
         times = np.asarray(times, dtype=float)
-        if np.any(times < 0.0):
-            raise ConfigurationError("times must be non-negative")
+        check_times(times)
         value = -np.expm1(
             -self.total_area * (times / self.alpha_worst) ** self.beta
         )

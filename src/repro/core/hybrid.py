@@ -22,26 +22,23 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.closed_form import _EXP_MAX, _EXP_MIN
+from repro.core.closed_form import check_times
 from repro.core.ensemble import (
     BlockReliability,
     midpoint_block_rules,
     pad_block_rules,
 )
 from repro.errors import ConfigurationError
-from repro.kernels.config import fast_paths_enabled
 from repro.kernels.survival import batched_rule_expectations
 from repro.obs import metrics
 from repro.obs.trace import is_enabled, span
-from repro.stats.integration import midpoint_rule
 
 
 class HybridAnalyzer:
     """Pre-tabulated per-block expectations with bilinear interpolation.
 
     Table columns fill on demand (thread-safe; :attr:`tables` fills them
-    all).  With fast paths off the whole table is built eagerly, one
-    block at a time, as the reference the fill is checked against.
+    all).
 
     Parameters
     ----------
@@ -94,19 +91,6 @@ class HybridAnalyzer:
             blocks, np.linspace(lo, hi, n_alpha), np.linspace(b_lo, b_hi, n_b)
         )
         self._rule_knobs = (l0, tail, include_residual_fluctuation)
-        if not fast_paths_enabled():
-            with span(
-                "hybrid.build_table",
-                blocks=len(blocks),
-                n_alpha=n_alpha,
-                columns=n_b,
-            ):
-                for j, block in enumerate(self.blocks):
-                    self._tables[j] = self._build_block_table(
-                        block, l0, tail, include_residual_fluctuation
-                    )
-                metrics.inc("hybrid.table_entries", self._tables.size)
-            self._mark_filled(np.arange(n_b))
 
     def _init_state(
         self,
@@ -234,106 +218,21 @@ class HybridAnalyzer:
                 )
             self._mark_filled(missing)
 
-    def _build_block_table(
-        self,
-        block: BlockReliability,
-        l0: int,
-        tail: float,
-        include_residual_fluctuation: bool,
-    ) -> np.ndarray:
-        """Tabulate ``E[exp(-A_j g)]`` over the (ln(t/alpha), b) axes.
-
-        The table stores the *log* of the block failure probability:
-        failure varies as ``exp(beta_chip * ln(t/alpha))`` across the axis,
-        so bilinear interpolation in log space is near-exact while raw
-        bilinear interpolation would overestimate by the chord-vs-curve gap
-        of an exponential (~10-20 % at 100x100 resolution).
-        """
-        u_rule = midpoint_rule(block.blod.u_dist(), n_points=l0, tail=tail)
-        v_rule = midpoint_rule(
-            block.blod.v_chi2_match(include_residual_fluctuation),
-            n_points=l0,
-            tail=tail,
-        )
-        scaled = self.log_t_axis[:, None, None, None] * self.b_axis[None, :, None, None]
-        log_g = (
-            scaled * u_rule.points[None, None, :, None]
-            + 0.5 * scaled**2 * v_rule.points[None, None, None, :]
-        )
-        exponent = np.clip(
-            np.log(block.blod.area) + log_g, _EXP_MIN, _EXP_MAX
-        )
-        survival = np.exp(-np.exp(exponent))
-        expectation = np.einsum(
-            "abpq,p,q->ab", survival, u_rule.weights, v_rule.weights
-        )
-        failure = np.clip(1.0 - expectation, 1e-300, None)
-        return np.log(failure)
-
-    def _interpolate(
-        self, table: np.ndarray, log_t_ratio: np.ndarray, b: float
-    ) -> np.ndarray:
-        """Bilinear interpolation of one block's log-failure table.
-
-        ``log_t_ratio`` below the left edge clamps to failure 0 (times far
-        below any tabulated point have negligible failure); values above
-        the right edge or ``b`` outside its axis raise, because that means
-        the table was built for a different operating envelope.
-        """
-        if not self.b_axis[0] <= b <= self.b_axis[-1]:
-            raise ConfigurationError(
-                f"b = {b} outside the table range "
-                f"[{self.b_axis[0]:.3f}, {self.b_axis[-1]:.3f}]"
-            )
-        finite = np.isfinite(log_t_ratio)
-        clamped_low = log_t_ratio <= self.log_t_axis[0]
-        if np.any(log_t_ratio[finite] > self.log_t_axis[-1]):
-            raise ConfigurationError(
-                "query time beyond the table's ln(t/alpha) range; rebuild "
-                "the table with a wider log_t_ratio_range"
-            )
-        x = np.clip(log_t_ratio, self.log_t_axis[0], self.log_t_axis[-1])
-        x = np.where(finite, x, self.log_t_axis[0])
-
-        ix = np.clip(
-            np.searchsorted(self.log_t_axis, x) - 1, 0, len(self.log_t_axis) - 2
-        )
-        tx = (x - self.log_t_axis[ix]) / (
-            self.log_t_axis[ix + 1] - self.log_t_axis[ix]
-        )
-        iy = int(
-            np.clip(np.searchsorted(self.b_axis, b) - 1, 0, len(self.b_axis) - 2)
-        )
-        ty = (b - self.b_axis[iy]) / (self.b_axis[iy + 1] - self.b_axis[iy])
-
-        f00 = table[ix, iy]
-        f10 = table[ix + 1, iy]
-        f01 = table[ix, iy + 1]
-        f11 = table[ix + 1, iy + 1]
-        log_value = (
-            f00 * (1.0 - tx) * (1.0 - ty)
-            + f10 * tx * (1.0 - ty)
-            + f01 * (1.0 - tx) * ty
-            + f11 * tx * ty
-        )
-        missed = clamped_low | ~finite
-        if is_enabled():
-            # "hits" interpolate from the table; "misses" fall outside it
-            # (clamped below the left edge, negligible-failure region).
-            n_miss = int(np.count_nonzero(missed))
-            metrics.inc("hybrid.lut_hits", int(np.size(missed)) - n_miss)
-            metrics.inc("hybrid.lut_misses", n_miss)
-        return np.where(missed, 0.0, np.exp(log_value))
-
     def _interpolate_batched(
         self, log_t_ratios: np.ndarray, bs: np.ndarray
     ) -> np.ndarray:
         """All blocks' bilinear look-ups in one pass.
 
-        Same range semantics as :meth:`_interpolate` — ``b`` outside its
-        axis or a finite ``ln(t/alpha)`` beyond the right edge raises,
-        values below the left edge clamp to failure 0 — applied across the
-        whole ``(block, time)`` query matrix at once.
+        The table stores the *log* of the block failure probability:
+        failure varies as ``exp(beta_chip * ln(t/alpha))`` across the
+        axis, so bilinear interpolation in log space is near-exact while
+        raw bilinear interpolation would overestimate by the chord-vs-curve
+        gap of an exponential (~10-20 % at 100x100 resolution).
+
+        ``log_t_ratios`` below the left edge clamp to failure 0 (times far
+        below any tabulated point have negligible failure); a finite value
+        beyond the right edge or a ``b`` outside its axis raises, because
+        that means the table was built for a different operating envelope.
         """
         if bs.min() < self.b_axis[0] or bs.max() > self.b_axis[-1]:
             outside = (bs < self.b_axis[0]) | (bs > self.b_axis[-1])
@@ -381,6 +280,8 @@ class HybridAnalyzer:
         )
         missed = clamped_low | ~finite
         if is_enabled():
+            # "hits" interpolate from the table; "misses" fall outside it
+            # (clamped below the left edge, negligible-failure region).
             n_miss = int(np.count_nonzero(missed))
             metrics.inc("hybrid.lut_hits", int(np.size(missed)) - n_miss)
             metrics.inc("hybrid.lut_misses", n_miss)
@@ -412,8 +313,7 @@ class HybridAnalyzer:
         the table-reuse path for a different setup/application profile.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if (times < 0.0).any():
-            raise ConfigurationError("times must be non-negative")
+        check_times(times)
         if alphas is None:
             alphas = np.array([block.alpha for block in self.blocks])
         else:
@@ -422,23 +322,13 @@ class HybridAnalyzer:
             bs = np.array([block.b for block in self.blocks])
         else:
             bs = self._weibull_override("b", bs)
-        if fast_paths_enabled():
-            with np.errstate(divide="ignore"):
-                log_t_ratios = np.where(
-                    times[None, :] > 0.0,
-                    np.log(times[None, :] / alphas[:, None]),
-                    -np.inf,
-                )
-            return self._interpolate_batched(log_t_ratios, bs)
-        tables = self.tables
-        out = np.empty((len(self.blocks), times.size))
         with np.errstate(divide="ignore"):
-            for j in range(len(self.blocks)):
-                log_t_ratio = np.where(
-                    times > 0.0, np.log(times / alphas[j]), -np.inf
-                )
-                out[j] = self._interpolate(tables[j], log_t_ratio, float(bs[j]))
-        return out
+            log_t_ratios = np.where(
+                times[None, :] > 0.0,
+                np.log(times[None, :] / alphas[:, None]),
+                -np.inf,
+            )
+        return self._interpolate_batched(log_t_ratios, bs)
 
     def reliability(
         self,

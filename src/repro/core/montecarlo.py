@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 from scipy import stats as sps
 
+from repro.core.closed_form import check_times
 from repro.core.ensemble import BlockReliability
 from repro.errors import ConfigurationError, NumericalError
 from repro.exec.backends import ExecBackend, resolve_backend
@@ -308,8 +309,7 @@ class MonteCarloEngine:
         removed.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < 0.0):
-            raise ConfigurationError("times must be non-negative")
+        check_times(times)
         if n_chips < 2:
             raise ConfigurationError(f"n_chips must be >= 2, got {n_chips}")
         root = resolve_seed_sequence(rng)

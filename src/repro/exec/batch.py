@@ -25,7 +25,6 @@ from repro.core.lifetime import ppm_to_reliability, solve_lifetime
 from repro.errors import ConfigurationError
 from repro.exec.backends import ExecBackend
 from repro.exec.cache import ResultCache, fingerprint
-from repro.kernels.config import fast_paths_enabled
 from repro.obs import metrics
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
@@ -296,7 +295,6 @@ def run_batch(
     backend: ExecBackend | None = None,
     cache: ResultCache | None = None,
     use_cache: bool = True,
-    fuse: bool = True,
 ) -> dict[str, Any]:
     """Evaluate every sweep cell; returns the consolidated report document.
 
@@ -304,11 +302,10 @@ def run_batch(
     (``exec.cache.hit``); fresh results are stored on the way out.  The MC
     reference method runs through ``backend`` when one is given.
 
-    With ``fuse=True`` (default) the temperature axis of ``st_fast`` /
-    ``temp_unaware`` cells is evaluated through one fused kernel dispatch
-    per design and bracketing rung (bit-identical results; see
-    :func:`_fused_group_lifetimes`); other methods fall back transparently
-    to per-cell evaluation.
+    The temperature axis of ``st_fast`` / ``temp_unaware`` cells is
+    evaluated through one fused kernel dispatch per design and bracketing
+    rung (bit-identical results; see :func:`_fused_group_lifetimes`);
+    other methods fall back transparently to per-cell evaluation.
     """
     if use_cache and cache is None:
         cache = ResultCache()
@@ -346,11 +343,9 @@ def run_batch(
             coords = (cell["design"], cell["temperature_c"], cell["method"])
             group = (cell["design"], cell["method"])
             if (
-                fuse
-                and spec.scenario is None
+                spec.scenario is None
                 and cell["method"] in _FUSABLE_METHODS
                 and len(spec.temperatures_c) > 1
-                and fast_paths_enabled()
                 and group not in fused_attempted
             ):
                 fused_attempted.add(group)
@@ -423,7 +418,6 @@ def run_batch(
             "backend": backend.name if backend is not None else "serial",
             "jobs": backend.jobs if backend is not None else 1,
             "cache": use_cache,
-            "fuse": fuse,
             "fused_cells": fused_cells,
         },
         "cells": [r.as_dict() for r in results],

@@ -1,20 +1,21 @@
 """Batched survival-integral kernels for the ensemble analyzers.
 
 The eq. (28) ensemble reliability is a sum of per-block double integrals
-of the conditional survival ``exp(-A_j g(u, v))``.  The reference
-implementations in :mod:`repro.core.ensemble` evaluate one block at a
-time; the kernels here fuse the per-block Python loops into single
-broadcast evaluations over a ``(block, time, node)`` tensor:
+of the conditional survival ``exp(-A_j g(u, v))``.  The kernels here
+evaluate every block in one broadcast pass over a ``(block, time,
+node)`` tensor instead of a per-block Python loop:
 
 - :func:`batched_rule_expectations` — all blocks x times against
-  per-block quadrature node/weight tables (st_fast, and the histogram
-  mid-point grids of st_mc),
+  per-block quadrature node/weight tables (st_fast, the hybrid table
+  fill and the scenario dose path),
 - :func:`batched_sample_expectations` — all blocks x times against a
   shared Monte-Carlo sample cloud (the st_mc ``samples`` estimator).
 
-Both reproduce the reference results to floating-point round-off (the
-operations are the same multiplies/exponentials, evaluated in one fused
-pass); equivalence is enforced by ``tests/core/test_kernels_equivalence``.
+Both reproduce the per-block loops they replaced to floating-point
+round-off (the operations are the same multiplies/exponentials,
+evaluated in one fused pass); ``tests/core/test_kernels_equivalence``
+compares them against those loops, kept as oracles in
+``tests/oracles.py``.
 
 Blocks may carry different node counts (a degenerate BLOD variance
 collapses to a single point-mass node); tables are padded to the widest

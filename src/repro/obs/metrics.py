@@ -16,10 +16,11 @@ Naming convention (see ``docs/observability.md``): dotted
 ``docs/execution.md``) reports ``exec.tasks``, ``exec.shards``, the
 ``exec.jobs`` gauge, the result-cache accounting counters
 ``exec.cache.{hit,miss,corrupt,store}`` and the resume counters
-``exec.checkpoint.{resumed_shards,stale}``.  The kernel fast paths
+``exec.checkpoint.{resumed_shards,stale}``.  The numerical kernels
 (``repro.kernels``, see ``docs/performance.md``) report the thermal
-factorization-cache accounting ``thermal.factor_cache.{hit,miss}`` and
-the fused-evaluation workload counters ``kernels.rule_nodes``,
+factorization-cache accounting ``thermal.factor_cache.{hit,miss}``, the
+block→mesh map accounting ``thermal.mesh_map.{hit,miss}`` and the
+fused-evaluation workload counters ``kernels.rule_nodes``,
 ``kernels.sample_evals`` and ``kernels.imhof_nodes`` (survival-integral
 quadrature nodes, Monte-Carlo sample evaluations and Imhof inversion
 nodes processed by the batched kernels).  The HTTP service

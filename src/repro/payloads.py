@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import obs
+from repro.errors import ConfigurationError
 from repro.units import hours_to_years
 
 if TYPE_CHECKING:
@@ -214,7 +215,19 @@ def curve_payload(
     t_max: float,
     points: int = 20,
 ) -> dict[str, Any]:
-    """The ``repro curve`` document: reliability over a log-time range."""
+    """The ``repro curve`` document: reliability over a log-time range.
+
+    The range must be finite with ``0 < t_min < t_max`` and hold at least
+    two points; NaN fails every comparison below.
+    """
+    if not 0.0 < t_min < np.inf:
+        raise ConfigurationError(f"t_min must be finite and positive, got {t_min}")
+    if not t_min < t_max < np.inf:
+        raise ConfigurationError(
+            f"t_max must be finite and above t_min, got {t_max}"
+        )
+    if points < 2:
+        raise ConfigurationError(f"points must be >= 2, got {points}")
     times = np.logspace(np.log10(t_min), np.log10(t_max), points)
     reliability = np.atleast_1d(analyzer.reliability(times, method=method))
     return stamp_envelope(

@@ -34,10 +34,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.analyzer import ReliabilityAnalyzer
+from repro.core.closed_form import check_times
 from repro.core.ensemble import BlockReliability, StFastAnalyzer
 from repro.core.lifetime import ppm_to_reliability, solve_lifetime
 from repro.errors import ConfigurationError
-from repro.kernels.config import fast_paths_enabled
 from repro.kernels.survival import batched_rule_expectations
 from repro.mechanisms import (
     FailureMechanism,
@@ -304,42 +304,32 @@ class ScenarioAnalyzer:
 
         The dose path's analogue of ``StFastAnalyzer.reliability``: the
         entries live at unit characteristic life, so the scaled profile
-        is ``b_e * ln(s_e(t))`` with per-entry abscissae — one fused
-        kernel dispatch when the fast paths apply, the per-entry
-        reference loop otherwise.
+        is ``b_e * ln(s_e(t))`` with per-entry abscissae, evaluated in
+        one fused kernel dispatch.
         """
         engine = self._engine
-        if fast_paths_enabled():
-            with np.errstate(divide="ignore"):
-                scaled = self._b_eff[:, None] * np.where(
-                    doses > 0.0, np.log(doses), -np.inf
-                )
-            fused = batched_rule_expectations(
-                scaled,
-                engine._log_areas,
-                engine._u_points,
-                engine._u_weights,
-                engine._v_points,
-                engine._v_weights,
+        with np.errstate(divide="ignore"):
+            scaled = self._b_eff[:, None] * np.where(
+                doses > 0.0, np.log(doses), -np.inf
             )
-            if fused is not None:
-                metrics.inc(
-                    "integration.subdomain_evals",
-                    doses.shape[1] * engine._rule_nodes,
-                )
-                return fused
-        out = np.empty(doses.shape)
-        for j in range(doses.shape[0]):
-            out[j] = engine.block_expectation(j, doses[j])
-        return out
+        metrics.inc(
+            "integration.subdomain_evals", doses.shape[1] * engine._rule_nodes
+        )
+        return batched_rule_expectations(
+            scaled,
+            engine._log_areas,
+            engine._u_points,
+            engine._u_weights,
+            engine._v_points,
+            engine._v_weights,
+        )
 
     def entry_failure_probabilities(
         self, times: np.ndarray | float
     ) -> np.ndarray:
         """``(n_entries, n_times)`` per (mechanism, block) failure probs."""
         times_arr = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times_arr < 0.0):
-            raise ConfigurationError("times must be non-negative")
+        check_times(times_arr)
         if self._mode == "dose":
             return 1.0 - self._entry_expectations(self._doses(times_arr))
         return self._engine.block_failure_probabilities(times_arr)

@@ -23,7 +23,6 @@ from scipy import integrate
 from scipy import stats as sps
 
 from repro.errors import ConfigurationError, NumericalError
-from repro.kernels.config import fast_paths_enabled
 from repro.obs import metrics
 
 #: Truncation tolerance of the batched Imhof quadrature (envelope bound).
@@ -214,13 +213,11 @@ class QuadraticForm:
         """Exact ``P(Q > x)`` by Imhof's numerical inversion [32].
 
         Accepts a scalar or an array of ``x``; a scalar returns a float.
-        With fast paths enabled (:mod:`repro.kernels.config`), the whole
-        batch shares one eigendecomposition and one composite
-        Gauss-Legendre evaluation of the oscillatory integrand, instead of
-        a per-point adaptive ``quad`` call.  Forms whose tails decay too
-        slowly for a bounded node count (fewer than ~3 retained
-        eigenvalues) fall back to the per-point adaptive reference, which
-        also serves the equivalence tests.  Accurate to roughly 1e-7.
+        The whole batch shares one eigendecomposition and one composite
+        Gauss-Legendre evaluation of the oscillatory integrand.  Forms
+        whose tails decay too slowly for a bounded node count (fewer than
+        ~3 retained eigenvalues, or a huge spectrum) fall back to a
+        per-point adaptive ``quad`` inversion.  Accurate to roughly 1e-7.
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         scalar = np.ndim(x) == 0
@@ -232,9 +229,7 @@ class QuadraticForm:
             return float(out[0]) if scalar else out
         lam, scale = spectrum
         shifted = (x_arr - self.offset) / scale
-        out = None
-        if fast_paths_enabled():
-            out = self._imhof_sf_batched(lam, shifted)
+        out = self._imhof_sf_batched(lam, shifted)
         if out is None:
             out = np.array(
                 [self._imhof_sf_adaptive(lam, s, limit) for s in shifted]
@@ -244,7 +239,7 @@ class QuadraticForm:
     def _imhof_sf_adaptive(
         self, lam: np.ndarray, shifted: float, limit: int
     ) -> float:
-        """Per-point adaptive-quad Imhof inversion (reference path)."""
+        """Per-point adaptive-quad Imhof inversion (batched-rule fallback)."""
 
         def theta(u: float) -> float:
             return 0.5 * float(np.sum(np.arctan(lam * u))) - 0.5 * shifted * u

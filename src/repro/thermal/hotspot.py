@@ -15,7 +15,6 @@ import numpy as np
 from repro.chip.floorplan import Floorplan
 from repro.chip.geometry import GridSpec
 from repro.errors import ConfigurationError
-from repro.kernels.config import fast_paths_enabled
 from repro.obs.trace import span
 from repro.thermal.factor_cache import cached_mesh_map
 from repro.thermal.grid import PackageModel
@@ -95,10 +94,9 @@ class HotSpotLite:
 
         Returns ``(fractions, totals)``: row ``j`` of the ``(blocks,
         cells)`` matrix is ``mesh.overlap_fractions`` of block ``j``'s
-        rectangle, ``totals[j]`` its sum.  While fast paths are enabled
-        the pair comes from the process-wide block→mesh cache keyed on
-        ``(mesh, block rectangles)`` and is read-only; the reference
-        path rasterizes afresh.
+        rectangle, ``totals[j]`` its sum.  The pair comes from the
+        process-wide block→mesh cache keyed on ``(mesh, block
+        rectangles)`` and is read-only.
         """
 
         def build() -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +113,6 @@ class HotSpotLite:
                 totals[j] = total
             return fractions, totals
 
-        if not fast_paths_enabled():
-            return build()
         rects = tuple(block.rect for block in floorplan.blocks)
         return cached_mesh_map(mesh, rects, build)
 

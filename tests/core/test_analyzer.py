@@ -79,6 +79,15 @@ class TestMethods:
         with pytest.raises(ConfigurationError):
             small_analyzer.reliability(1e5, method="astrology")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_time_rejected(self, small_analyzer, method, bad):
+        """An infinite time once took the t = 0 branch and read 1.0."""
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            small_analyzer.reliability(
+                np.array([1e5, bad]), method=method, mc_chips=50
+            )
+
     def test_scalar_vector_consistency(self, small_analyzer):
         t = small_analyzer.lifetime(10)
         times = np.array([t / 2.0, t, 2.0 * t])

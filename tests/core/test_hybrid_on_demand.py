@@ -2,10 +2,10 @@
 
 The hybrid analyzer fills its ``(block, ln(t/alpha), b)`` table one
 b-column at a time, when a query's bilinear stencil first reads it.  The
-oracle below is the eager build every analyzer used to run at
-construction: all blocks' rules and one fused kernel call over the whole
-index grid.  Every filled entry must equal it bit for bit, whatever the
-set and order of fills.
+oracle (``tests/oracles.py``) is the eager build every analyzer used to
+run at construction: all blocks' rules and one fused kernel call over
+the whole index grid.  Every filled entry must equal it bit for bit,
+whatever the set and order of fills.
 """
 
 from __future__ import annotations
@@ -24,46 +24,7 @@ from repro import AnalysisConfig, ReliabilityAnalyzer, obs
 from repro.chip.benchmarks import make_benchmark
 from repro.core.ensemble import BlockReliability
 from repro.core.hybrid import HybridAnalyzer
-from repro.kernels import batched_rule_expectations, pad_rule_tables
-from repro.stats.integration import midpoint_rule
-
-
-def eager_tables(
-    hybrid: HybridAnalyzer,
-    l0: int = 10,
-    tail: float = 1e-6,
-    include_residual_fluctuation: bool = True,
-) -> np.ndarray:
-    """Every block's full log-failure table in one fused pass."""
-    blocks = hybrid.blocks
-    u_rules = [
-        midpoint_rule(block.blod.u_dist(), n_points=l0, tail=tail)
-        for block in blocks
-    ]
-    v_rules = [
-        midpoint_rule(
-            block.blod.v_chi2_match(include_residual_fluctuation),
-            n_points=l0,
-            tail=tail,
-        )
-        for block in blocks
-    ]
-    u_points, u_weights = pad_rule_tables(
-        [r.points for r in u_rules], [r.weights for r in u_rules]
-    )
-    v_points, v_weights = pad_rule_tables(
-        [r.points for r in v_rules], [r.weights for r in v_rules]
-    )
-    log_areas = np.log([block.blod.area for block in blocks])
-    scaled = hybrid.log_t_axis[:, None] * hybrid.b_axis[None, :]
-    flat = np.broadcast_to(scaled.reshape(1, -1), (len(blocks), scaled.size))
-    expectation = batched_rule_expectations(
-        flat, log_areas, u_points, u_weights, v_points, v_weights
-    )
-    failure = np.clip(1.0 - expectation, 1e-300, None)
-    return np.log(failure).reshape(
-        len(blocks), hybrid.log_t_axis.size, hybrid.b_axis.size
-    )
+from tests.oracles import eager_hybrid_tables
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +47,7 @@ def stencil_columns(hybrid: HybridAnalyzer, bs: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("design", ["C1", "C2", "C3"])
 def test_full_fill_equals_eager_build(design, grid):
     hybrid = HybridAnalyzer(list(design_blocks(design, grid)))
-    assert np.array_equal(hybrid.tables, eager_tables(hybrid))
+    assert np.array_equal(hybrid.tables, eager_hybrid_tables(hybrid))
 
 
 def test_tables_property_is_read_only():
@@ -100,7 +61,7 @@ class TestFillOrder:
 
     @pytest.fixture(scope="class")
     def oracle(self):
-        return eager_tables(
+        return eager_hybrid_tables(
             HybridAnalyzer(list(design_blocks("C2", 10)), **self.SHAPE)
         )
 
@@ -237,4 +198,4 @@ def test_concurrent_fills_match_single_thread():
         assert all(np.array_equal(value, expected[p]) for p, value in got)
     # Each column is tabulated once: a double fill would over-count.
     assert entries == full.size
-    assert np.array_equal(full, eager_tables(shared))
+    assert np.array_equal(full, eager_hybrid_tables(shared))

@@ -1,7 +1,8 @@
 """Edge-case tests for the eq. (28) survival-grid evaluation.
 
-``_survival_on_grid`` is the reference integrand behind the st_fast and
-st_mc analyzers (and the contract the batched kernels must reproduce):
+``_survival_on_grid`` is the integrand of the st_mc histogram estimator
+and of the st_fast oracle in ``tests/oracles.py`` (the contract the
+batched kernels must reproduce):
 ``t = 0`` maps to survival exactly 1, and the double-exponential is
 clipped to ``[_EXP_MIN, _EXP_MAX]`` so extreme Weibull scalings saturate
 at exactly 0/1 instead of overflowing.

@@ -16,7 +16,6 @@ import pytest
 from repro import AnalysisConfig, ReliabilityAnalyzer
 from repro.core.ensemble import sweep_reliabilities
 from repro.errors import ConfigurationError
-from repro.kernels import use_fast_paths
 from repro.kernels.survival import sweep_rule_expectations
 
 TEMPS = (40.0, 60.0, 80.0, 100.0)
@@ -87,11 +86,6 @@ class TestDeclines:
         subs = [a.st_fast for a in temp_analyzers]
         assert sweep_reliabilities([], []) is None
         assert sweep_reliabilities(subs, [times]) is None
-
-    def test_fast_paths_off(self, temp_analyzers, times):
-        subs = [a.st_fast for a in temp_analyzers]
-        with use_fast_paths(False):
-            assert sweep_reliabilities(subs, [times] * len(subs)) is None
 
     def test_mismatched_quadrature_tables(
         self, small_floorplan, temp_analyzers, times

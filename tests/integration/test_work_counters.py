@@ -13,7 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.chip.benchmarks import make_benchmark
+from repro.power.activity import ActivityProfile
+from repro.power.loop import solve_power_thermal
 from repro.service.requests import JobRequest, run_job
+from repro.thermal.factor_cache import clear_factor_cache
+from repro.thermal.hotspot import HotSpotLite
 
 #: Counters read from one cold and one warm ``run_job`` build, and from one
 #: fixed-time st_fast reliability call.
@@ -64,4 +69,40 @@ def test_work_counters(design, grid, tmp_path, monkeypatch):
     assert (
         counters["integration.subdomain_evals"]
         == golden["integration.subdomain_evals"]
+    )
+
+
+#: A C2 power-thermal sweep on a 64-cell mesh over three activity modes,
+#: from empty thermal caches.  Every mode shares one mesh geometry and one
+#: conductance system, so each cache misses once and serves every other
+#: solve of the sweep.
+POWER_THERMAL_GOLDEN = {
+    "thermal.iterations": 12,
+    "thermal.solves": 12,
+    "thermal.factor_cache.hit": 11,
+    "thermal.factor_cache.miss": 1,
+    "thermal.mesh_map.hit": 11,
+    "thermal.mesh_map.miss": 1,
+}
+
+
+def test_power_thermal_sweep_counters():
+    floorplan = make_benchmark("C2")
+    thermal_model = HotSpotLite(mesh_resolution=64)
+    profiles = [
+        ActivityProfile.preset(mode, floorplan)
+        for mode in ("typical", "int_heavy", "memory_bound")
+    ]
+
+    def sweep() -> None:
+        for profile in profiles:
+            solve_power_thermal(floorplan, profile, thermal_model=thermal_model)
+
+    clear_factor_cache()
+    try:
+        counters = _counters(sweep)
+    finally:
+        clear_factor_cache()
+    assert {name: counters.get(name, 0.0) for name in POWER_THERMAL_GOLDEN} == (
+        POWER_THERMAL_GOLDEN
     )

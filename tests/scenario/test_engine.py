@@ -293,3 +293,11 @@ class TestValidation:
         engine = ScenarioAnalyzer(small_analyzer, _steady())
         with pytest.raises(ConfigurationError, match="non-negative"):
             engine.entry_failure_probabilities(np.array([-1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("schedule", [_steady, _two_phase])
+    def test_non_finite_times_rejected(self, small_analyzer, schedule, bad):
+        """Steady and dose mode both refuse what once read reliability 1."""
+        engine = ScenarioAnalyzer(small_analyzer, schedule())
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            engine.reliability(np.array([1e5, bad]))

@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from repro.errors import ConfigurationError, NumericalError
 from repro.stats.quadform import Chi2Match, QuadraticForm
+from tests import oracles
 
 
 def _random_psd(rng, dim, scale=1.0):
@@ -173,8 +174,8 @@ class TestImhof:
 
 
 class TestImhofBatched:
-    """The vectorized ``imhof_sf`` fast path (shared eigendecomposition,
-    one batched oscillatory quadrature) vs the legacy adaptive reference.
+    """The vectorized ``imhof_sf`` (shared eigendecomposition, one batched
+    oscillatory quadrature) vs the per-point adaptive oracle.
 
     The adaptive integrator itself carries ~1e-5 error on very small
     spectra, so tolerances compare against its accuracy, not round-off.
@@ -182,17 +183,10 @@ class TestImhofBatched:
 
     def test_array_input_matches_per_point_adaptive(self, rng):
         form = QuadraticForm(offset=0.0, matrix=_random_psd(rng, 8))
-        lam, _scale = form._imhof_spectrum
         xs = np.linspace(form.mean() * 0.2, form.mean() * 2.5, 12)
         batched = form.imhof_sf(xs)
-        adaptive = np.array(
-            [
-                form._imhof_sf_adaptive(lam, (x - form.offset) / _scale, 200)
-                for x in xs
-            ]
-        )
         assert isinstance(batched, np.ndarray)
-        np.testing.assert_allclose(batched, adaptive, atol=1e-6)
+        np.testing.assert_allclose(batched, oracles.imhof_sf(form, xs), atol=1e-6)
 
     def test_scalar_input_returns_float(self, rng):
         form = QuadraticForm(offset=0.0, matrix=_random_psd(rng, 5))
@@ -201,15 +195,12 @@ class TestImhofBatched:
         assert out == pytest.approx(float(form.imhof_sf(np.array([form.mean()]))[0]))
 
     def test_fast_path_off_matches(self, rng):
-        from repro.kernels import use_fast_paths
-
+        """The batched rule against the adaptive oracle with an offset."""
         form = QuadraticForm(offset=0.5, matrix=_random_psd(rng, 6))
         xs = np.linspace(form.mean() * 0.3, form.mean() * 2.0, 6)
-        with use_fast_paths(True):
-            fast = form.imhof_sf(xs)
-        with use_fast_paths(False):
-            reference = form.imhof_sf(xs)
-        np.testing.assert_allclose(fast, reference, atol=5e-5)
+        np.testing.assert_allclose(
+            form.imhof_sf(xs), oracles.imhof_sf(form, xs), atol=5e-5
+        )
 
     def test_chi2_reference_values(self):
         dim = 6

@@ -222,6 +222,36 @@ class TestCurve:
         assert all(0.0 <= r <= 1.0 for r in rel)
         assert rel == sorted(rel, reverse=True)
 
+    @pytest.mark.parametrize(
+        "t_min,t_max,points",
+        [
+            ("0", "1e6", "5"),
+            ("-5", "1e6", "5"),
+            ("nan", "1e6", "5"),
+            ("1e5", "inf", "5"),
+            ("1e6", "1e5", "5"),
+            ("1e5", "1e6", "0"),
+            ("1e5", "1e6", "-3"),
+        ],
+    )
+    def test_rejects_bad_range(self, capsys, tiny_args, t_min, t_max, points):
+        code, out, err = _run(
+            capsys,
+            "curve",
+            *tiny_args,
+            "--t-min",
+            t_min,
+            "--t-max",
+            t_max,
+            "--points",
+            points,
+            "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestThermal:
     def test_reports_all_blocks(self, capsys, tiny_args):
@@ -467,31 +497,35 @@ class TestBatch:
             build_parser().parse_args(["batch", "--design", "Z9"])
 
     def test_fusion_flag_and_identical_results(self, capsys, tmp_path):
-        argv = [
-            "batch",
-            "--design",
-            "C1",
-            "--method",
-            "st_fast",
-            "--temps",
-            "40",
-            "70",
-            "--grid",
-            "6",
-            "--no-cache",
-            "--json",
-        ]
-        code, out, _err = _run(capsys, *argv)
-        assert code == 0
-        fused = json.loads(out)
-        assert fused["execution"]["fuse"] is True
+        """A fused two-temperature sweep reads the lifetimes of two
+        single-temperature sweeps, which never fuse."""
+
+        def sweep(*temps):
+            code, out, _err = _run(
+                capsys,
+                "batch",
+                "--design",
+                "C1",
+                "--method",
+                "st_fast",
+                "--temps",
+                *temps,
+                "--grid",
+                "6",
+                "--no-cache",
+                "--json",
+            )
+            assert code == 0
+            return json.loads(out)
+
+        fused = sweep("40", "70")
+        assert "fuse" not in fused["execution"]
         assert fused["execution"]["fused_cells"] == 2
-        code, out, _err = _run(capsys, *argv, "--no-fuse")
-        assert code == 0
-        plain = json.loads(out)
-        assert plain["execution"]["fuse"] is False
-        assert plain["execution"]["fused_cells"] == 0
-        for a, b in zip(fused["cells"], plain["cells"], strict=True):
+        plain = [sweep("40"), sweep("70")]
+        for a, single in zip(fused["cells"], plain, strict=True):
+            assert single["execution"]["fused_cells"] == 0
+            (b,) = single["cells"]
+            assert a["temperature_c"] == b["temperature_c"]
             assert a["lifetime_hours"] == b["lifetime_hours"]
 
     def test_scenario_sweep_and_cache_hit(self, capsys, tmp_path):
@@ -586,80 +620,6 @@ class TestCacheCommand:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache"])
-
-
-class TestBenchCommand:
-    @pytest.fixture()
-    def stub_results(self, monkeypatch):
-        # The real harness takes a minute; the command logic is what the
-        # CLI tests cover.
-        results = {
-            "schema": 1,
-            "scale": "quick",
-            "design": "C2",
-            "micro": {
-                "conductance_build": {
-                    "reference_s": 0.02,
-                    "fast_s": 0.001,
-                    "speedup": 20.0,
-                }
-            },
-            "end_to_end": {
-                "reference_s": 1.0,
-                "fast_s": 0.25,
-                "speedup": 4.0,
-                "power_loop_iterations": 12,
-                "cache_hits": 11,
-                "cache_misses": 1,
-            },
-        }
-        import repro.kernels.bench as bench
-
-        monkeypatch.setattr(
-            bench, "run_kernel_benchmarks", lambda scale: {**results, "scale": scale}
-        )
-        return results
-
-    def test_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench"])
-
-    def test_rejects_unknown_scale(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "kernels", "--scale", "huge"])
-
-    def test_no_save_prints_report(self, capsys, stub_results):
-        code, out, _err = _run(capsys, "bench", "kernels", "--no-save")
-        assert code == 0
-        assert "conductance_build" in out
-        assert "end_to_end" in out
-        assert "wrote" not in out
-
-    def test_writes_json_report(self, capsys, stub_results, tmp_path):
-        target = tmp_path / "bench.json"
-        code, out, _err = _run(
-            capsys, "bench", "kernels", "--output", str(target)
-        )
-        assert code == 0
-        assert str(target) in out
-        payload = json.loads(target.read_text())
-        assert payload["schema"] == 1
-        assert payload["end_to_end"]["cache_hits"] == 11
-
-    def test_json_output(self, capsys, stub_results, tmp_path):
-        code, out, _err = _run(
-            capsys,
-            "bench",
-            "kernels",
-            "--scale",
-            "full",
-            "--output",
-            str(tmp_path / "b.json"),
-            "--json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["scale"] == "full"
 
 
 class TestJobs:

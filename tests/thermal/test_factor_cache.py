@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs
 from repro.chip.geometry import GridSpec
-from repro.kernels import use_fast_paths
 from repro.thermal.factor_cache import (
     _MAX_ENTRIES,
     cached_factorization,
@@ -16,6 +15,7 @@ from repro.thermal.factor_cache import (
 )
 from repro.thermal.grid import PackageModel
 from repro.thermal.solver import _build_conductance_matrix, solve_steady_state
+from tests import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -90,14 +90,10 @@ class TestCachedFactorization:
 class TestSolverIntegration:
     def test_cached_solution_matches_direct_spsolve(self, grid, package):
         power = _power(grid)
-        with use_fast_paths(False):
-            reference = solve_steady_state(grid, power, package)
-        with use_fast_paths(True):
-            cold = solve_steady_state(grid, power, package)
-            warm = solve_steady_state(grid, power, package)
-        np.testing.assert_allclose(
-            cold.values, reference.values, rtol=1e-12, atol=0.0
-        )
+        reference = oracles.steady_state(grid, power, package)
+        cold = solve_steady_state(grid, power, package)
+        warm = solve_steady_state(grid, power, package)
+        np.testing.assert_allclose(cold.values, reference, rtol=1e-12, atol=0.0)
         # The warm solve reuses the factors, bit-identically.
         np.testing.assert_array_equal(warm.values, cold.values)
         stats = factor_cache_stats()
@@ -108,9 +104,8 @@ class TestSolverIntegration:
         obs.reset()
         obs.enable()
         try:
-            with use_fast_paths(True):
-                solve_steady_state(grid, _power(grid), package)
-                solve_steady_state(grid, _power(grid, seed=1), package)
+            solve_steady_state(grid, _power(grid), package)
+            solve_steady_state(grid, _power(grid, seed=1), package)
             from repro.obs import metrics
 
             assert metrics.get_counter("thermal.factor_cache.miss") == 1

@@ -12,7 +12,6 @@ from repro.chip.benchmarks import make_benchmark
 from repro.chip.floorplan import Floorplan
 from repro.chip.geometry import Rect
 from repro.errors import ConfigurationError
-from repro.kernels import use_fast_paths
 from repro.thermal.factor_cache import (
     _MAX_MAP_ENTRIES,
     clear_factor_cache,
@@ -102,25 +101,6 @@ class TestCachedArrays:
             expected = mesh.overlap_fractions(block.rect)
             assert np.array_equal(fractions[j], expected)
             assert totals[j] == expected.sum()
-
-
-class TestReferenceMode:
-    def test_cache_not_consulted(self, hotspot, tiny_floorplan):
-        mesh = hotspot.mesh_for(tiny_floorplan)
-        with use_fast_paths(False):
-            reference = hotspot.analyze(tiny_floorplan)
-            hotspot.analyze(tiny_floorplan)
-            uncached, uncached_totals = hotspot.mesh_map(tiny_floorplan, mesh)
-            assert uncached.flags.writeable
-        assert mesh_map_stats() == {"hits": 0, "misses": 0, "entries": 0}
-        cached, cached_totals = hotspot.mesh_map(tiny_floorplan, mesh)
-        assert np.array_equal(cached, uncached)
-        assert np.array_equal(cached_totals, uncached_totals)
-        # The solves differ (cached LU vs spsolve) only by round-off.
-        fast = hotspot.analyze(tiny_floorplan)
-        np.testing.assert_allclose(
-            fast.block_temperatures, reference.block_temperatures, rtol=1e-12
-        )
 
 
 class TestPowerVector:
