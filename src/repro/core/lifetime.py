@@ -3,19 +3,25 @@
 The paper's quality metric is *n-faults-per-million parts*: the time at
 which the first ``n`` of a million chips have failed, i.e.
 ``R(t_req) = 1 - n * 1e-6``. The statistical analyzers expose smooth
-reliability functions, so the lifetime is found by bracketing and bisecting
-in log time; Monte-Carlo references provide sampled curves that are
-interpolated in the same coordinates.
+reliability functions, so the lifetime is found by bracketing in log time
+and solving ``log F = log F_target`` (``F = 1 - R``) with Brent's method:
+in ``(log t, log F)`` Weibull-like failure curves are nearly linear, so
+its interpolation steps land close to the root.  Monte-Carlo references
+provide sampled curves that are interpolated in the same coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
 from scipy import optimize
 
 from repro.errors import ConfigurationError, NumericalError
+
+#: Floor of ``1 - R`` in the lifetime objective (smallest normal float).
+_TINY = float(np.finfo(float).tiny)
 
 
 def ppm_to_reliability(ppm: float) -> float:
@@ -34,8 +40,16 @@ def solve_lifetime(
     """Solve ``R(t) = R_target`` for a monotone reliability function.
 
     Brackets the root geometrically in log time starting from ``t_guess``
-    then bisects with Brent's method. ``reliability_fn`` must take a scalar
-    time (hours) and return a scalar reliability.
+    (x4 steps) then runs Brent's method on ``log F`` against ``log t``,
+    ``F = 1 - R``, where Weibull-like failure curves are nearly linear.
+    The objective ``log(1 - R_target) - log(1 - R)`` has the sign of
+    ``R - R_target`` (``1 - R`` is exact for ``R >= 0.5``, Sterbenz), so
+    the bracket ladder's sign tests are those of ``R - R_target``; only a
+    few ulps of ``F`` from the root can it read zero.  ``1 - R`` is
+    floored at the smallest normal float so an endpoint with ``R >= 1``
+    stays finite.  Each time is evaluated once: Brent's first
+    two calls, the bracket ends, come from a memo.  ``reliability_fn``
+    must take a scalar time (hours) and return a scalar reliability.
     """
     if not 0.0 < reliability_target < 1.0:
         raise ConfigurationError(
@@ -44,8 +58,16 @@ def solve_lifetime(
     if t_guess <= 0.0:
         raise ConfigurationError(f"t_guess must be positive, got {t_guess}")
 
+    log_target = math.log(1.0 - reliability_target)
+    seen: dict[float, float] = {}
+
     def objective(log_t: float) -> float:
-        return float(reliability_fn(float(np.exp(log_t)))) - reliability_target
+        value = seen.get(log_t)
+        if value is None:
+            reliability = float(reliability_fn(float(np.exp(log_t))))
+            value = log_target - math.log(max(1.0 - reliability, _TINY))
+            seen[log_t] = value
+        return value
 
     log_lo = log_hi = float(np.log(t_guess))
     value = objective(log_lo)

@@ -71,7 +71,7 @@ logger = get_logger("exec.cache")
 #: Bump to invalidate every existing cache entry on a format change or
 #: on a change in the numbers the code computes: the library version is
 #: static between releases, so it alone does not re-key stale results.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 #: The cache tiers a :class:`ResultCache` instance can belong to.
 CACHE_TIERS = ("local", "shared")

@@ -8,12 +8,13 @@ converge indicates thermal runaway for the given package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.chip.floorplan import Floorplan
-from repro.errors import SolverError
+from repro.errors import ConfigurationError, SolverError
 from repro.obs import metrics
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
@@ -24,7 +25,7 @@ from repro.thermal.hotspot import HotSpotLite, ThermalResult
 logger = get_logger("power.loop")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerThermalSolution:
     """Converged workload power/temperature operating point.
 
@@ -32,20 +33,29 @@ class PowerThermalSolution:
     ----------
     floorplan:
         The input floorplan with converged per-block powers filled in.
-    thermal:
-        The matching thermal analysis result.
+    block_temperatures:
+        Converged per-block temperatures, celsius, floorplan order, from
+        the thermal model's block model (:meth:`HotSpotLite.block_model`).
     iterations:
         Fixed-point iterations used.
+    thermal_model:
+        The thermal model the loop ran on; :attr:`thermal` solves with it.
     """
 
     floorplan: Floorplan
-    thermal: ThermalResult
+    block_temperatures: np.ndarray
     iterations: int
+    thermal_model: HotSpotLite = field(repr=False)
 
-    @property
-    def block_temperatures(self) -> np.ndarray:
-        """Converged per-block temperatures, celsius, floorplan order."""
-        return self.thermal.block_temperatures
+    @cached_property
+    def thermal(self) -> ThermalResult:
+        """The cell-level thermal analysis of the converged floorplan.
+
+        Solved on first read (one :meth:`HotSpotLite.analyze`), then
+        kept.  Its ``block_temperatures``, the mesh averages, agree with
+        :attr:`block_temperatures` within 1e-9 degC.
+        """
+        return self.thermal_model.analyze(self.floorplan)
 
 
 def solve_power_thermal(
@@ -57,6 +67,10 @@ def solve_power_thermal(
     tolerance: float = 0.05,
 ) -> PowerThermalSolution:
     """Solve the coupled power/temperature fixed point for a workload.
+
+    Iterates on the thermal model's block model, ``T = R @ p + t0``, so
+    no iteration solves the mesh; the cell-level field is solved only
+    when :attr:`PowerThermalSolution.thermal` is read.
 
     Parameters
     ----------
@@ -80,13 +94,13 @@ def solve_power_thermal(
         floorplan.n_blocks, thermal_model.package.ambient_temperature
     )
     with span("thermal.power_loop", blocks=floorplan.n_blocks) as loop_span:
+        # The block model depends on the geometry only, so the floorplan
+        # is rebuilt just once, with the converged powers, below.
+        response, offset = thermal_model.block_model(floorplan)
         for iteration in range(1, max_iterations + 1):
             powers = power_model.floorplan_powers(
                 floorplan, profile, temperatures
             )
-            # Iterate on the power vector: the floorplan (and with it the
-            # block→mesh map) is the same every iteration, so it is only
-            # rebuilt with the converged powers below.
             power_vector = np.fromiter(
                 powers.values(), dtype=float, count=floorplan.n_blocks
             )
@@ -96,11 +110,13 @@ def solve_power_thermal(
                     f"non-finite at iteration {iteration} (possible thermal "
                     "runaway for this package)"
                 )
-            thermal = thermal_model.analyze(floorplan, block_powers=power_vector)
-            change = float(
-                np.max(np.abs(thermal.block_temperatures - temperatures))
-            )
-            temperatures = thermal.block_temperatures
+            if np.any(power_vector < 0.0):
+                raise ConfigurationError(
+                    "block powers must be finite and non-negative"
+                )
+            block_temperatures = response @ power_vector + offset
+            change = float(np.max(np.abs(block_temperatures - temperatures)))
+            temperatures = block_temperatures
             metrics.inc("thermal.iterations")
             logger.debug(
                 "power-thermal iteration %d: max block change %.3f degC",
@@ -111,8 +127,9 @@ def solve_power_thermal(
                 loop_span.set(iterations=iteration)
                 return PowerThermalSolution(
                     floorplan=floorplan.with_powers(powers),
-                    thermal=thermal,
+                    block_temperatures=temperatures,
                     iterations=iteration,
+                    thermal_model=thermal_model,
                 )
     raise SolverError(
         f"power-thermal loop did not converge in {max_iterations} iterations "

@@ -1,7 +1,7 @@
 """Structural caches of the steady-state thermal solve.
 
-Two parts of a floorplan thermal analysis depend only on geometry — *not*
-on the power vector — and are cached here, each keyed on the exact
+Three parts of a floorplan thermal analysis depend only on geometry —
+*not* on the power vector — and are cached here, each keyed on the exact
 frozen-dataclass values it depends on:
 
 - **Factorizations**, per ``(GridSpec, PackageModel)``.  The conductance
@@ -16,17 +16,23 @@ frozen-dataclass values it depends on:
   both directions of an analysis: spreading block power onto the mesh
   and averaging the solved field back per block.  Power changes between
   iterations and requests; the rectangles and the mesh do not.
+- **Block models**, per ``(GridSpec, PackageModel, tuple of block
+  Rects)``.  Block temperatures are affine in block powers,
+  ``T = R @ p + t0``, with a ``(blocks, blocks)`` response matrix ``R``
+  built from the two entries above (see
+  :meth:`repro.thermal.hotspot.HotSpotLite.block_model`).  The
+  power-thermal fixed point iterates on it instead of solving the mesh.
 
 A changed mesh, package or block rectangle is a different key, so
-invalidation is structural.  Both caches are process-wide, thread-safe
-and LRU-bounded.
+invalidation is structural.  All three caches are process-wide,
+thread-safe and LRU-bounded.
 
 Effectiveness is observable two ways: the module-level
-:func:`factor_cache_stats` / :func:`mesh_map_stats` counters (always on,
-used by the kernel benchmarks), and the
-``thermal.factor_cache.{hit,miss}`` / ``thermal.mesh_map.{hit,miss}``
-counters in :mod:`repro.obs.metrics` (populated while observability is
-enabled).
+:func:`factor_cache_stats` / :func:`mesh_map_stats` counters (always on;
+perfbench reads the first around each ``HotSpotLite.analyze`` call), and
+the ``thermal.factor_cache.{hit,miss}``, ``thermal.mesh_map.{hit,miss}``
+and ``thermal.block_model.{hit,miss}`` counters in
+:mod:`repro.obs.metrics` (populated while observability is enabled).
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from repro.obs import metrics
 from repro.thermal.grid import PackageModel
 
 __all__ = [
+    "cached_block_model",
     "cached_factorization",
     "cached_mesh_map",
     "clear_factor_cache",
@@ -59,8 +66,13 @@ _MAX_ENTRIES = 8
 #: float64 matrix (about 330 KB for the 18-block C6 at mesh 48).
 _MAX_MAP_ENTRIES = 8
 
+#: Block models kept alive; each holds one ``(blocks, blocks)`` matrix
+#: and one ``(blocks,)`` vector (under 3 KB for 18 blocks).
+_MAX_BLOCK_MODEL_ENTRIES = 8
+
 _Solve = Callable[[np.ndarray], np.ndarray]
 _MeshMap = tuple[np.ndarray, np.ndarray]
+_BlockModel = tuple[np.ndarray, np.ndarray]
 _T = TypeVar("_T")
 
 #: Per cache: entry bound and obs hit/miss counter names.
@@ -75,9 +87,14 @@ _SPECS = {
         "thermal.mesh_map.hit",
         "thermal.mesh_map.miss",
     ),
+    "block_model": (
+        _MAX_BLOCK_MODEL_ENTRIES,
+        "thermal.block_model.hit",
+        "thermal.block_model.miss",
+    ),
 }
 
-#: One lock guards both caches: their entries in LRU order and their
+#: One lock guards every cache: their entries in LRU order and their
 #: lifetime hit/miss counts.
 _lock = threading.Lock()
 _entries: dict[str, OrderedDict[Hashable, Any]] = {
@@ -150,14 +167,40 @@ def cached_mesh_map(
     returned arrays are shared between callers and therefore read-only.
     """
 
-    def build_frozen() -> _MeshMap:
-        fractions, totals = build()
-        fractions.setflags(write=False)
-        totals.setflags(write=False)
-        return fractions, totals
-
-    mesh_map, _hit = _get_or_build("mesh_map", (mesh, rects), build_frozen)
+    mesh_map, _hit = _get_or_build("mesh_map", (mesh, rects), _frozen(build))
     return mesh_map
+
+
+def cached_block_model(
+    mesh: GridSpec,
+    package: PackageModel,
+    rects: tuple[Rect, ...],
+    build: Callable[[], _BlockModel],
+) -> _BlockModel:
+    """The block model of ``rects`` on ``mesh`` under ``package``.
+
+    Returns ``(R, t0)`` with block temperatures ``R @ powers + t0``.
+    ``build`` computes that pair and is only called on a miss.  The
+    returned arrays are shared between callers and therefore read-only.
+    """
+    model, _hit = _get_or_build(
+        "block_model", (mesh, package, rects), _frozen(build)
+    )
+    return model
+
+
+def _frozen(
+    build: Callable[[], tuple[np.ndarray, np.ndarray]],
+) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """``build`` with its returned arrays made read-only."""
+
+    def build_frozen() -> tuple[np.ndarray, np.ndarray]:
+        pair = build()
+        for array in pair:
+            array.setflags(write=False)
+        return pair
+
+    return build_frozen
 
 
 def factor_cache_stats() -> dict[str, Any]:
@@ -171,8 +214,8 @@ def mesh_map_stats() -> dict[str, Any]:
 
 
 def clear_factor_cache(reset_stats: bool = True) -> None:
-    """Drop every cached factorization and block→mesh map (tests, memory
-    pressure)."""
+    """Drop every cached factorization, block→mesh map and block model
+    (tests, memory pressure)."""
     with _lock:
         for cache, entries in _entries.items():
             entries.clear()

@@ -3,7 +3,9 @@
 Maps per-block powers onto the thermal mesh, runs the steady-state solver,
 and reports per-block average temperatures — the exact interface the
 reliability analysis needs ("HotSpot [10] to achieve the temperature
-profile of the design", Sec. V).
+profile of the design", Sec. V).  Next to that grid model it keeps
+HotSpot's block model: for a fixed geometry, block temperatures are
+affine in block powers, which the power-thermal fixed point iterates on.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ from repro.chip.floorplan import Floorplan
 from repro.chip.geometry import GridSpec
 from repro.errors import ConfigurationError
 from repro.obs.trace import span
-from repro.thermal.factor_cache import cached_mesh_map
+from repro.thermal.factor_cache import cached_block_model, cached_mesh_map
 from repro.thermal.grid import PackageModel
-from repro.thermal.solver import TemperatureField, solve_steady_state
+from repro.thermal.solver import (
+    TemperatureField,
+    conductance_solver,
+    solve_steady_state,
+)
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,40 @@ class HotSpotLite:
 
         rects = tuple(block.rect for block in floorplan.blocks)
         return cached_mesh_map(mesh, rects, build)
+
+    def block_model(self, floorplan: Floorplan) -> tuple[np.ndarray, np.ndarray]:
+        """The affine block model ``(R, t0)`` of ``floorplan``'s geometry.
+
+        With the mesh, the package and the block rectangles fixed, the
+        block temperatures of :meth:`analyze` are ``R @ powers + t0``
+        (celsius, watts, floorplan order).  With ``W = fractions /
+        totals`` from :meth:`mesh_map` (it spreads power and averages the
+        field alike) and the conductance matrix ``K``, ``R = W K⁻¹ Wᵀ``,
+        symmetric because ``K`` is, and ``t0`` is the zero-power
+        temperature, the ambient up to rounding.  Both come from
+        back-substitutions through the cached LU factor, ``R`` in one
+        multi-column solve.
+
+        The pair is cached process-wide on ``(mesh, package, block
+        rectangles)`` and is read-only; block powers are not part of the
+        key.  It agrees with :meth:`analyze` to about 1e-13 degC.
+        """
+        mesh = self.mesh_for(floorplan)
+        package = self.package
+
+        def build() -> tuple[np.ndarray, np.ndarray]:
+            with span("thermal.block_model", blocks=floorplan.n_blocks):
+                fractions, totals = self.mesh_map(floorplan, mesh)
+                solve, _hit = conductance_solver(mesh, package)
+                weights = fractions / totals[:, None]
+                response = weights @ solve(weights.T)
+                g_v = package.vertical_conductance(mesh)
+                ambient = np.full(mesh.n_cells, g_v * package.ambient_temperature)
+                offset = weights @ solve(ambient)
+            return response, offset
+
+        rects = tuple(block.rect for block in floorplan.blocks)
+        return cached_block_model(mesh, package, rects, build)
 
     def cell_powers(self, floorplan: Floorplan, mesh: GridSpec) -> np.ndarray:
         """Distribute block powers onto mesh cells by overlap area."""

@@ -10,6 +10,7 @@ leaves only through the package), the standard HotSpot assumption.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,22 @@ def _build_conductance_matrix(
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def conductance_solver(
+    grid: GridSpec, package: PackageModel
+) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+    """``(solve, hit)``: back-substitution through the conductance LU.
+
+    The SPD conductance system is factored once per ``(grid, package)``
+    and the factors are reused: every design of a sweep and every block
+    model of one geometry hits the same key.  ``solve`` takes one
+    right-hand side or a ``(cells, k)`` block of them; ``hit`` tells
+    whether the factorization was reused.
+    """
+    return cached_factorization(
+        grid, package, lambda: _build_conductance_matrix(grid, package)
+    )
+
+
 def solve_steady_state(
     grid: GridSpec,
     cell_power: np.ndarray,
@@ -136,12 +153,7 @@ def solve_steady_state(
     with span("thermal.solve", cells=grid.n_cells) as solve_span:
         g_v = package.vertical_conductance(grid)
         rhs = cell_power + g_v * package.ambient_temperature
-        # Factor the SPD conductance system once per (grid, package) and
-        # reuse the back-substitution: every iteration of the power-thermal
-        # fixed point and every design of a sweep hits the same key.
-        solve, hit = cached_factorization(
-            grid, package, lambda: _build_conductance_matrix(grid, package)
-        )
+        solve, hit = conductance_solver(grid, package)
         temperatures = solve(rhs)
         solve_span.set(factor_cache="hit" if hit else "miss")
         metrics.inc("thermal.solves")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    AnalysisConfig,
     OBDModel,
     ReliabilityAnalyzer,
     VariationBudget,

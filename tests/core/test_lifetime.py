@@ -1,5 +1,8 @@
 """Unit tests for the lifetime solvers (eq. (32))."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,83 @@ class TestSolveLifetime:
     def test_rejects_bad_guess(self, guard):
         with pytest.raises(ConfigurationError):
             solve_lifetime(guard.reliability, 0.5, t_guess=0.0)
+
+
+class TestLogFailureObjective:
+    """Endpoints with no failure probability left, exact hits and the memo."""
+
+    ETA, BETA, STEP = 1.0e7, 2.0, 2.0e4
+
+    def weibull(self, t):
+        return math.exp(-((t / self.ETA) ** self.BETA))
+
+    def root(self, target):
+        return self.ETA * (-math.log(target)) ** (1.0 / self.BETA)
+
+    def step(self, below):
+        """Reliability ``below`` before :attr:`STEP`, Weibull after."""
+        return lambda t: below if t < self.STEP else self.weibull(t)
+
+    @pytest.mark.parametrize("below", [1.0, 1.0 + 1e-3])
+    def test_lower_bracket_end_without_failures(self, below):
+        target = ppm_to_reliability(10.0)
+        seen = []
+
+        def reliability(t):
+            seen.append(t)
+            return self.step(below)(t)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solved = solve_lifetime(reliability, target, t_guess=1.0e4)
+        # The bracket is [1e4, 4e4]: its lower end, below the root at
+        # 3.2e4, still has F = 1 - R <= 0.
+        assert seen[:2] == pytest.approx([1.0e4, 4.0e4], rel=1e-14)
+        assert solved == pytest.approx(self.root(target), rel=1e-10)
+
+    def test_climb_through_times_without_failures(self):
+        # Every rung from 1e-3 to 1.7e4 reads R = 1; the bracket is
+        # [1.7e4, 6.7e4].
+        target = ppm_to_reliability(10.0)
+        solved = solve_lifetime(self.step(1.0), target, t_guess=1.0e-3)
+        assert solved == pytest.approx(self.root(target), rel=1e-10)
+
+    def test_exact_hit_at_the_guess_returns_after_one_call(self):
+        target = 1.0 - 1e-5
+        calls = []
+
+        def reliability(t):
+            calls.append(t)
+            return 1.0 - 1e-5 * (t / 1.0e5) ** 2
+
+        solved = solve_lifetime(reliability, target, t_guess=1.0e5)
+        assert solved == pytest.approx(1.0e5, rel=1e-15)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("t_guess", [1.0e2, 1.0e4, 1.0e7])
+    def test_no_time_is_evaluated_twice(self, t_guess):
+        target = ppm_to_reliability(10.0)
+        calls = []
+
+        def reliability(t):
+            calls.append(t)
+            return self.weibull(t)
+
+        solved = solve_lifetime(reliability, target, t_guess=t_guess)
+        assert len(calls) == len(set(calls))
+        assert solved == pytest.approx(self.root(target), rel=1e-10)
+
+    def test_weibull_needs_few_evaluations(self):
+        calls = []
+
+        def reliability(t):
+            calls.append(t)
+            return self.weibull(t)
+
+        solve_lifetime(reliability, ppm_to_reliability(10.0), t_guess=1.0e5)
+        # Two bracket rungs, then interpolation steps on a nearly straight
+        # log F against log t (the R - R_target objective took 11).
+        assert len(calls) <= 5
 
 
 class TestLifetimeFromCurve:

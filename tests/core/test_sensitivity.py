@@ -1,6 +1,5 @@
 """Unit tests for the sensitivity (tornado) analysis."""
 
-import numpy as np
 import pytest
 
 from repro.core.sensitivity import (

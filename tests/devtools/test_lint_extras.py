@@ -19,7 +19,7 @@ from repro.devtools.baseline import (
     write_baseline,
 )
 from repro.devtools.cache import LintCache
-from repro.devtools.engine import LintFileError, lint_paths, lint_project
+from repro.devtools.engine import LintFileError, lint_paths
 from repro.devtools.lint import main
 from repro.devtools.rules import Finding
 from repro.devtools.sarif import render_sarif

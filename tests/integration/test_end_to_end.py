@@ -13,9 +13,7 @@ import pytest
 from repro import (
     ActivityProfile,
     AnalysisConfig,
-    OBDModel,
     ReliabilityAnalyzer,
-    VariationBudget,
     make_manycore,
     make_synthetic_design,
     solve_power_thermal,

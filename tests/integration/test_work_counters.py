@@ -2,19 +2,27 @@
 
 These counts do not depend on the host's speed, so a change that moves
 one shows here as an exact mismatch, not as timing noise.  A change that
-moves a count on purpose updates this table and says why.  Counts that
-depend on the path ``brentq`` takes through a lifetime solve (such as
-``lifetime.evals_per_solve``) are left out: they move with the last bits
-of the solved function.
+moves a count on purpose updates this table and says why.
+
+The lifetime-evaluation golden counts the reliability evaluations of a
+lifetime solve, which follow the path ``brentq`` takes: a bracket rung
+or two, then the interpolation steps that reach the tolerance.  Those
+steps can move with the last bits of the solved function, so a change
+that moves one of these counts, even that way, updates the golden and
+says why.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.core.analyzer as analyzer_module
 from repro import obs
-from repro.chip.benchmarks import make_benchmark
-from repro.power.activity import ActivityProfile
+from repro.chip.benchmarks import make_alpha_processor, make_benchmark
+from repro.core.analyzer import ReliabilityAnalyzer
+from repro.core.lifetime import ppm_to_reliability, solve_lifetime
+from repro.power.activity import ActivityProfile, available_presets
 from repro.power.loop import solve_power_thermal
 from repro.service.requests import JobRequest, run_job
 from repro.thermal.factor_cache import clear_factor_cache
@@ -73,16 +81,32 @@ def test_work_counters(design, grid, tmp_path, monkeypatch):
 
 
 #: A C2 power-thermal sweep on a 64-cell mesh over three activity modes,
-#: from empty thermal caches.  Every mode shares one mesh geometry and one
-#: conductance system, so each cache misses once and serves every other
-#: solve of the sweep.
+#: from empty thermal caches.  Every mode shares one geometry, so the
+#: block model misses once and serves the other two solves; building it
+#: takes the only factorization and block→mesh map.  The loop iterates on
+#: the block model and solves no mesh.
 POWER_THERMAL_GOLDEN = {
     "thermal.iterations": 12,
-    "thermal.solves": 12,
-    "thermal.factor_cache.hit": 11,
+    "thermal.solves": 0,
+    "thermal.factor_cache.hit": 0,
     "thermal.factor_cache.miss": 1,
-    "thermal.mesh_map.hit": 11,
+    "thermal.mesh_map.hit": 0,
     "thermal.mesh_map.miss": 1,
+    "thermal.block_model.hit": 2,
+    "thermal.block_model.miss": 1,
+}
+
+#: Reading one solution's ``thermal`` twice: one field solve, through
+#: the warm factorization and block→mesh map.
+THERMAL_READ_GOLDEN = {
+    "thermal.iterations": 0,
+    "thermal.solves": 1,
+    "thermal.factor_cache.hit": 1,
+    "thermal.factor_cache.miss": 0,
+    "thermal.mesh_map.hit": 1,
+    "thermal.mesh_map.miss": 0,
+    "thermal.block_model.hit": 0,
+    "thermal.block_model.miss": 0,
 }
 
 
@@ -93,16 +117,111 @@ def test_power_thermal_sweep_counters():
         ActivityProfile.preset(mode, floorplan)
         for mode in ("typical", "int_heavy", "memory_bound")
     ]
+    solutions = []
 
     def sweep() -> None:
         for profile in profiles:
-            solve_power_thermal(floorplan, profile, thermal_model=thermal_model)
+            solutions.append(
+                solve_power_thermal(floorplan, profile, thermal_model=thermal_model)
+            )
+
+    def read_thermal_twice() -> None:
+        assert solutions[0].thermal is solutions[0].thermal
 
     clear_factor_cache()
     try:
         counters = _counters(sweep)
+        read_counters = _counters(read_thermal_twice)
     finally:
         clear_factor_cache()
     assert {name: counters.get(name, 0.0) for name in POWER_THERMAL_GOLDEN} == (
         POWER_THERMAL_GOLDEN
     )
+    assert {
+        name: read_counters.get(name, 0.0) for name in THERMAL_READ_GOLDEN
+    } == THERMAL_READ_GOLDEN
+
+
+#: Reliability evaluations per lifetime solve at 10 ppm.  The alpha
+#: processor's are the runtime-management solve: the power-thermal fixed
+#: point of each preset, then the hybrid tables queried at its block
+#: temperatures from ``t_guess = 1e5`` h.  The designs' are
+#: ``ReliabilityAnalyzer.lifetime``, seeded with the guard-band lifetime.
+LIFETIME_EVALS_GOLDEN = {
+    ("alpha", "hybrid", "fp_heavy"): 5,
+    ("alpha", "hybrid", "idle"): 6,
+    ("alpha", "hybrid", "int_heavy"): 5,
+    ("alpha", "hybrid", "memory_bound"): 5,
+    ("alpha", "hybrid", "typical"): 5,
+    ("C1/g10", "st_fast", None): 7,
+    ("C1/g10", "hybrid", None): 5,
+    ("C3/g25", "st_fast", None): 6,
+    ("C3/g25", "hybrid", None): 5,
+}
+
+
+def _counted(fn, calls):
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    return counted
+
+
+def _management_evals(analyzer, floorplan, preset, target):
+    """Evaluations of one runtime-management lifetime solve."""
+    solution = solve_power_thermal(
+        floorplan, ActivityProfile.preset(preset, floorplan)
+    )
+    params = analyzer.obd_model.block_params(solution.block_temperatures)
+    alphas = np.array([p.alpha for p in params])
+    bs = np.array([p.b for p in params])
+    calls: list[float] = []
+    solve_lifetime(
+        _counted(
+            lambda t: float(analyzer.hybrid.reliability(t, alphas=alphas, bs=bs)),
+            calls,
+        ),
+        target,
+        t_guess=1e5,
+    )
+    return len(calls)
+
+
+def test_lifetime_evaluations(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_ARTIFACT_CACHE_DIR", str(tmp_path / "artifacts"))
+    target = ppm_to_reliability(10.0)
+    counts = {}
+
+    alpha = make_alpha_processor()
+    base = solve_power_thermal(alpha, ActivityProfile.preset("typical", alpha))
+    analyzer = ReliabilityAnalyzer(
+        base.floorplan, block_temperatures=base.block_temperatures
+    )
+    for preset in available_presets():
+        counts[("alpha", "hybrid", preset)] = _management_evals(
+            analyzer, alpha, preset, target
+        )
+
+    solves: list[int] = []
+
+    def counting_solve(reliability_fn, reliability_target, **kwargs):
+        calls: list[float] = []
+        lifetime = solve_lifetime(
+            _counted(reliability_fn, calls), reliability_target, **kwargs
+        )
+        solves.append(len(calls))
+        return lifetime
+
+    monkeypatch.setattr(analyzer_module, "solve_lifetime", counting_solve)
+    for design, grid in (("C1", 10), ("C3", 25)):
+        request = JobRequest.from_dict(
+            {"kind": "lifetime", "design": design, "grid": grid, "methods": ["st_fast"]}
+        )
+        design_analyzer = request.build_analyzer()
+        for method in ("st_fast", "hybrid"):
+            solves.clear()
+            design_analyzer.lifetime(10.0, method=method)
+            (counts[(f"{design}/g{grid}", method, None)],) = solves
+
+    assert counts == LIFETIME_EVALS_GOLDEN

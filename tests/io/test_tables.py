@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import OBDModel, TabulatedOBDModel
+from repro import TabulatedOBDModel
 from repro.core.hybrid import HybridAnalyzer
 from repro.errors import ConfigurationError
 from repro.io.tables import (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import AnalysisConfig, Block, Floorplan, Rect, ReliabilityAnalyzer
+from repro import AnalysisConfig, Block, Floorplan, ReliabilityAnalyzer
 from repro.core.mission import (
     MissionProfile,
     OperatingPhase,

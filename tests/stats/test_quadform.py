@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from repro.errors import ConfigurationError, NumericalError
-from repro.stats.quadform import Chi2Match, QuadraticForm
+from repro.stats.quadform import QuadraticForm
 from tests import oracles
 
 
