@@ -8,6 +8,7 @@ bin count to show convergence.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -22,17 +23,20 @@ def test_ablation_binned_vs_exact_accuracy(report, benchmark):
     times = np.logspace(np.log10(t10) - 0.4, np.log10(t10) + 0.6, 6)
     chips = 150
 
-    start = time.perf_counter()
-    exact = MonteCarloEngine(
-        analyzer.sampler, analyzer.blocks, device_mode="exact", chunk_size=chips
-    ).reliability_curve(times, chips, np.random.default_rng(4))
-    t_exact = time.perf_counter() - start
-
-    start = time.perf_counter()
-    binned = MonteCarloEngine(
-        analyzer.sampler, analyzer.blocks, device_mode="binned", chunk_size=chips
-    ).reliability_curve(times, chips, np.random.default_rng(4))
-    t_binned = time.perf_counter() - start
+    # The two modes take similar times, so one run of each can swap
+    # their order on host noise alone: time them interleaved, best of
+    # three.  Each run draws from the same seed and returns the same curve.
+    best = {"exact": math.inf, "binned": math.inf}
+    curves = {}
+    for _ in range(3):
+        for mode in ("exact", "binned"):
+            start = time.perf_counter()
+            curves[mode] = MonteCarloEngine(
+                analyzer.sampler, analyzer.blocks, device_mode=mode, chunk_size=chips
+            ).reliability_curve(times, chips, np.random.default_rng(4))
+            best[mode] = min(best[mode], time.perf_counter() - start)
+    t_exact, t_binned = best["exact"], best["binned"]
+    exact, binned = curves["exact"], curves["binned"]
 
     f_e = exact.failure_probability()
     f_b = binned.failure_probability()
@@ -50,7 +54,7 @@ def test_ablation_binned_vs_exact_accuracy(report, benchmark):
     report.line("Ablation - MC device modes on C1 (150 chips)")
     report.line()
     report.table(
-        ["mode", "time (s)", "1-R at t10ppm"],
+        ["mode", "best of 3 (s)", "1-R at t10ppm"],
         [
             ["exact ", f"{t_exact:.2f}", f"{f_e[2]:.3e}"],
             ["binned", f"{t_binned:.2f}", f"{f_b[2]:.3e}"],

@@ -13,12 +13,18 @@ A lifetime solve reads only the few ``b`` columns its interpolation
 stencil touches, so the table is filled one ``b`` column (for every
 block) at a time, when a query first reads it; each entry is the value a
 full build computes.
+
+A lifetime solve also evaluates one profile about five times.  The part
+of a look-up that depends on the profile alone (its checks, its ``b``
+stencil and the table entries around it) is kept for the last profile
+queried, so the later evaluations redo only the part that depends on
+time.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -34,11 +40,32 @@ from repro.obs import metrics
 from repro.obs.trace import is_enabled, span
 
 
+class _ProfileStencil(NamedTuple):
+    """The part of a look-up that depends only on the profile ``(alphas, bs)``.
+
+    ``key`` holds the shape and float64 bytes of each override passed
+    (``None`` where the nominal values were used, so an override equal
+    to them is still checked once).  ``ty`` and
+    ``one_minus_ty`` are ``(blocks, 1)`` bilinear weights along ``b``.
+    ``corners[j, :, i]`` holds block ``j``'s table entries at
+    ``(i, iy)``, ``(i, iy + 1)``, ``(i + 1, iy)`` and ``(i + 1, iy + 1)``
+    for every ``ln(t/alpha)`` cell ``i`` and the block's ``b`` cell
+    ``iy``, so one gather reads all four corners of a look-up.
+    """
+
+    key: tuple[Any, Any]
+    ty: np.ndarray
+    one_minus_ty: np.ndarray
+    corners: np.ndarray
+
+
 class HybridAnalyzer:
     """Pre-tabulated per-block expectations with bilinear interpolation.
 
     Table columns fill on demand (thread-safe; :attr:`tables` fills them
-    all).
+    all).  A look-up's profile half (:meth:`_profile_stencil`) is kept
+    for the last profile queried; its time half
+    (:meth:`_interpolate_batched`) runs on every call.
 
     Parameters
     ----------
@@ -109,11 +136,22 @@ class HybridAnalyzer:
         self._ready = np.zeros(b_axis.size - 1, dtype=bool)
         self._lock = threading.Lock()
         self._kernel_inputs: tuple[np.ndarray, ...] | None = None
+        self._nominal = (
+            np.array([block.alpha for block in self.blocks]),
+            np.array([block.b for block in self.blocks]),
+        )
+        self._rows = np.arange(len(self.blocks))[:, None]
+        self._log_t_steps = np.diff(log_t_axis)
+        # The last profile's stencil, replaced by one assignment of an
+        # immutable entry: a lock-free reader always sees a whole one.
+        self._stencil: _ProfileStencil | None = None
 
     def __getstate__(self) -> dict[str, Any]:
-        # Locks do not pickle; a copy guards its own fills.
+        # Locks do not pickle; a copy guards its own fills and keeps no
+        # stencil.
         state = self.__dict__.copy()
         del state["_lock"]
+        state["_stencil"] = None
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -218,10 +256,71 @@ class HybridAnalyzer:
                 )
             self._mark_filled(missing)
 
+    def _profile_stencil(
+        self, alphas: np.ndarray | None, bs: np.ndarray | None
+    ) -> tuple[np.ndarray, _ProfileStencil]:
+        """The alphas to look up with, and the profile half of a look-up.
+
+        ``None`` selects the blocks' nominal values.  The stencil is
+        served from a one-entry memo when ``alphas`` and ``bs`` hold the
+        same shapes and float64 bytes as the last profile's, so an array
+        mutated in place is a new profile.  Otherwise the overrides are
+        checked, the ``b`` range is checked, the stencil's columns are
+        filled if needed, and the new stencil replaces the memo in one
+        assignment (concurrent callers each use the entry they read).
+        """
+        key_alphas = key_bs = None
+        if alphas is None:
+            alphas = self._nominal[0]
+        else:
+            alphas = np.asarray(alphas, dtype=float)
+            key_alphas = (alphas.shape, alphas.tobytes())
+        if bs is None:
+            bs = self._nominal[1]
+        else:
+            bs = np.asarray(bs, dtype=float)
+            key_bs = (bs.shape, bs.tobytes())
+        key = (key_alphas, key_bs)
+        stencil = self._stencil
+        if stencil is not None and stencil.key == key:
+            return alphas, stencil
+
+        if key_alphas is not None:
+            self._check_override("alpha", alphas)
+        if key_bs is not None:
+            self._check_override("b", bs)
+        if bs.min() < self.b_axis[0] or bs.max() > self.b_axis[-1]:
+            outside = (bs < self.b_axis[0]) | (bs > self.b_axis[-1])
+            b = float(bs[int(np.argmax(outside))])
+            raise ConfigurationError(
+                f"b = {b} outside the table range "
+                f"[{self.b_axis[0]:.3f}, {self.b_axis[-1]:.3f}]"
+            )
+        iy = np.minimum(
+            np.maximum(self.b_axis.searchsorted(bs) - 1, 0), self.b_axis.size - 2
+        )
+        if not self._ready[iy].all():
+            self._fill(np.union1d(iy, iy + 1))
+        ty = ((bs - self.b_axis[iy]) / (self.b_axis[iy + 1] - self.b_axis[iy]))[
+            :, None
+        ]
+        # (blocks, 2, n_alpha): the table columns at iy and iy + 1.
+        columns = self._tables[self._rows, :, iy[:, None] + (0, 1)]
+        stencil = _ProfileStencil(
+            key=key,
+            ty=ty,
+            one_minus_ty=1.0 - ty,
+            corners=np.concatenate(
+                (columns[:, :, :-1], columns[:, :, 1:]), axis=1
+            ),
+        )
+        self._stencil = stencil
+        return alphas, stencil
+
     def _interpolate_batched(
-        self, log_t_ratios: np.ndarray, bs: np.ndarray
+        self, log_t_ratios: np.ndarray, stencil: _ProfileStencil
     ) -> np.ndarray:
-        """All blocks' bilinear look-ups in one pass.
+        """All blocks' bilinear look-ups in one pass: the time half.
 
         The table stores the *log* of the block failure probability:
         failure varies as ``exp(beta_chip * ln(t/alpha))`` across the
@@ -231,52 +330,34 @@ class HybridAnalyzer:
 
         ``log_t_ratios`` below the left edge clamp to failure 0 (times far
         below any tabulated point have negligible failure); a finite value
-        beyond the right edge or a ``b`` outside its axis raises, because
-        that means the table was built for a different operating envelope.
+        beyond the right edge raises, as a ``b`` outside its axis does in
+        :meth:`_profile_stencil`, because that means the table was built
+        for a different operating envelope.
         """
-        if bs.min() < self.b_axis[0] or bs.max() > self.b_axis[-1]:
-            outside = (bs < self.b_axis[0]) | (bs > self.b_axis[-1])
-            b = float(bs[int(np.argmax(outside))])
-            raise ConfigurationError(
-                f"b = {b} outside the table range "
-                f"[{self.b_axis[0]:.3f}, {self.b_axis[-1]:.3f}]"
-            )
+        axis = self.log_t_axis
+        lo, hi = axis[0], axis[-1]
         finite = np.isfinite(log_t_ratios)
-        clamped_low = log_t_ratios <= self.log_t_axis[0]
-        if (log_t_ratios[finite] > self.log_t_axis[-1]).any():
+        clamped_low = log_t_ratios <= lo
+        if (log_t_ratios[finite] > hi).any():
             raise ConfigurationError(
                 "query time beyond the table's ln(t/alpha) range; rebuild "
                 "the table with a wider log_t_ratio_range"
             )
-        x = np.clip(log_t_ratios, self.log_t_axis[0], self.log_t_axis[-1])
-        x = np.where(finite, x, self.log_t_axis[0])
-
-        ix = np.clip(
-            np.searchsorted(self.log_t_axis, x) - 1, 0, len(self.log_t_axis) - 2
-        )
-        tx = (x - self.log_t_axis[ix]) / (
-            self.log_t_axis[ix + 1] - self.log_t_axis[ix]
-        )
-        iy = np.clip(
-            np.searchsorted(self.b_axis, bs) - 1, 0, len(self.b_axis) - 2
-        )
-        if not self._ready[iy].all():
-            self._fill(np.union1d(iy, iy + 1))
-        ty = ((bs - self.b_axis[iy]) / (self.b_axis[iy + 1] - self.b_axis[iy]))[
-            :, None
-        ]
-        rows = np.arange(len(self.blocks))[:, None]
-        iy = iy[:, None]
-
-        f00 = self._tables[rows, ix, iy]
-        f10 = self._tables[rows, ix + 1, iy]
-        f01 = self._tables[rows, ix, iy + 1]
-        f11 = self._tables[rows, ix + 1, iy + 1]
+        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper.
+        x = np.where(finite, np.minimum(np.maximum(log_t_ratios, lo), hi), lo)
+        ix = np.minimum(np.maximum(axis.searchsorted(x) - 1, 0), axis.size - 2)
+        tx = (x - axis[ix]) / self._log_t_steps[ix]
+        one_minus_tx = 1.0 - tx
+        corners = stencil.corners[self._rows, :, ix]
+        f00 = corners[..., 0]
+        f01 = corners[..., 1]
+        f10 = corners[..., 2]
+        f11 = corners[..., 3]
         log_value = (
-            f00 * (1.0 - tx) * (1.0 - ty)
-            + f10 * tx * (1.0 - ty)
-            + f01 * (1.0 - tx) * ty
-            + f11 * tx * ty
+            f00 * one_minus_tx * stencil.one_minus_ty
+            + f10 * tx * stencil.one_minus_ty
+            + f01 * one_minus_tx * stencil.ty
+            + f11 * tx * stencil.ty
         )
         missed = clamped_low | ~finite
         if is_enabled():
@@ -287,9 +368,8 @@ class HybridAnalyzer:
             metrics.inc("hybrid.lut_misses", n_miss)
         return np.where(missed, 0.0, np.exp(log_value))
 
-    def _weibull_override(self, name: str, values: np.ndarray) -> np.ndarray:
-        """A per-block ``alpha`` or ``b`` override: finite and positive."""
-        values = np.asarray(values, dtype=float)
+    def _check_override(self, name: str, values: np.ndarray) -> None:
+        """Check a per-block ``alpha`` or ``b`` override: finite and positive."""
         if values.shape != (len(self.blocks),):
             raise ConfigurationError("need one (alpha, b) pair per block")
         # NaN fails both comparisons.
@@ -299,7 +379,6 @@ class HybridAnalyzer:
                 f"block {self.blocks[bad].name!r}: {name} must be finite "
                 f"and positive, got {values[bad]}"
             )
-        return values
 
     def block_failure_probabilities(
         self,
@@ -314,21 +393,13 @@ class HybridAnalyzer:
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         check_times(times)
-        if alphas is None:
-            alphas = np.array([block.alpha for block in self.blocks])
-        else:
-            alphas = self._weibull_override("alpha", alphas)
-        if bs is None:
-            bs = np.array([block.b for block in self.blocks])
-        else:
-            bs = self._weibull_override("b", bs)
+        alphas, stencil = self._profile_stencil(alphas, bs)
+        times = times[None, :]
         with np.errstate(divide="ignore"):
             log_t_ratios = np.where(
-                times[None, :] > 0.0,
-                np.log(times[None, :] / alphas[:, None]),
-                -np.inf,
+                times > 0.0, np.log(times / alphas[:, None]), -np.inf
             )
-        return self._interpolate_batched(log_t_ratios, bs)
+        return self._interpolate_batched(log_t_ratios, stencil)
 
     def reliability(
         self,
@@ -343,7 +414,7 @@ class HybridAnalyzer:
         failures = self.block_failure_probabilities(times_arr, alphas, bs)
         value = 1.0 - failures.sum(axis=0)
         if clip:
-            value = np.clip(value, 0.0, 1.0)
+            value = np.minimum(np.maximum(value, 0.0), 1.0)
         return float(value[0]) if scalar else value
 
     def failure_probability(

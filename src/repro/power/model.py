@@ -13,7 +13,6 @@ spread matter to the reliability analysis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,46 +67,86 @@ class PowerModelParams:
             raise ConfigurationError("leak_temp_slope must be non-negative")
 
 
+def block_inputs(
+    floorplan: Floorplan, profile: ActivityProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block areas (mm^2) and activity factors, floorplan order.
+
+    A factor named for a block the floorplan lacks is rejected, as
+    :meth:`Floorplan.with_powers` rejects unknown names: a misspelt
+    block would otherwise run at the profile's default.  Blocks the
+    profile does not name take its default (:meth:`ActivityProfile.factor`).
+    """
+    unknown = profile.factors.keys() - set(floorplan.block_names)
+    if unknown:
+        raise ConfigurationError(
+            f"activity profile {profile.name!r} names blocks not on the "
+            f"floorplan: {sorted(unknown)}"
+        )
+    areas = np.array([block.rect.area for block in floorplan.blocks])
+    activities = np.array([profile.factor(block.name) for block in floorplan.blocks])
+    return areas, activities
+
+
 class BlockPowerModel:
-    """Computes per-block power from activity and temperature."""
+    """Computes block power from activity and temperature.
+
+    Every formula takes floats or equal-length arrays (one entry per
+    block) and works elementwise in one operation order, so a block's
+    power is the same float alone or in a floorplan's power vector.
+    """
 
     def __init__(self, params: PowerModelParams | None = None) -> None:
         self.params = params if params is not None else PowerModelParams()
 
-    def dynamic_power(self, area: float, activity: float) -> float:
-        """Dynamic power of a block in watts."""
+    def dynamic_power(
+        self, area: float | np.ndarray, activity: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Dynamic power in watts."""
         p = self.params
         return activity * p.switched_cap_density * area * p.vdd**2 * p.frequency
 
-    def leakage_power(self, area: float, temperature: float) -> float:
-        """Leakage power of a block at ``temperature`` (celsius), watts.
+    def leakage_power(
+        self, area: float | np.ndarray, temperature: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Leakage power at ``temperature`` (celsius), watts.
 
-        Infinite once the exponential overflows float64 (thermal
+        Infinite where the exponential overflows float64 (thermal
         runaway); the power-thermal loop reports that as non-convergence.
         """
         p = self.params
-        exponent = p.leak_temp_slope * (temperature - p.leak_temp_ref)
-        if exponent > _MAX_EXP_ARG:
-            # np.exp would warn about the overflow before returning inf.
-            return math.inf
-        factor = np.exp(exponent)
-        return p.leak_density_ref * area * float(factor)
+        # Past ln(DBL_MAX) the leakage is inf, as is a product that
+        # overflows just below it: silently, as in float arithmetic, not
+        # with numpy's overflow (or, for a zero area, 0 * inf) warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponent = p.leak_temp_slope * (
+                np.asarray(temperature, dtype=float) - p.leak_temp_ref
+            )
+            leakage = np.where(
+                exponent > _MAX_EXP_ARG,
+                np.inf,
+                p.leak_density_ref * area * np.exp(exponent),
+            )
+        return float(leakage) if leakage.ndim == 0 else leakage
 
     def block_power(
-        self, area: float, activity: float, temperature: float
-    ) -> float:
+        self,
+        area: float | np.ndarray,
+        activity: float | np.ndarray,
+        temperature: float | np.ndarray,
+    ) -> float | np.ndarray:
         """Total block power: dynamic plus leakage."""
         return self.dynamic_power(area, activity) + self.leakage_power(
             area, temperature
         )
 
-    def floorplan_powers(
+    def block_powers(
         self,
         floorplan: Floorplan,
         profile: ActivityProfile,
         block_temperatures: np.ndarray | None = None,
-    ) -> dict[str, float]:
-        """Per-block powers for a floorplan under a workload profile.
+    ) -> np.ndarray:
+        """Per-block powers (watts, floorplan order) under a workload profile.
 
         ``block_temperatures`` (celsius, floorplan order) feeds the leakage
         term; defaults to the leakage reference temperature everywhere.
@@ -122,11 +161,15 @@ class BlockPowerModel:
                 f"expected {floorplan.n_blocks} block temperatures, got "
                 f"shape {block_temperatures.shape}"
             )
-        return {
-            block.name: self.block_power(
-                block.rect.area,
-                profile.factor(block.name),
-                float(block_temperatures[j]),
-            )
-            for j, block in enumerate(floorplan.blocks)
-        }
+        areas, activities = block_inputs(floorplan, profile)
+        return np.asarray(self.block_power(areas, activities, block_temperatures))
+
+    def floorplan_powers(
+        self,
+        floorplan: Floorplan,
+        profile: ActivityProfile,
+        block_temperatures: np.ndarray | None = None,
+    ) -> dict[str, float]:
+        """:meth:`block_powers` keyed by block name."""
+        powers = self.block_powers(floorplan, profile, block_temperatures)
+        return dict(zip(floorplan.block_names, powers.tolist(), strict=True))

@@ -199,3 +199,52 @@ def test_concurrent_fills_match_single_thread():
     # Each column is tabulated once: a double fill would over-count.
     assert entries == full.size
     assert np.array_equal(full, eager_hybrid_tables(shared))
+
+
+def test_two_threads_alternating_profiles_read_their_own():
+    """Two threads alternate two profiles on one analyzer, so each
+    query's profile is rarely the last one seen: every result must be
+    its own profile's, never a stencil built for the other."""
+    blocks = list(design_blocks("C2", 10))
+    alphas = np.array([b.alpha for b in blocks])
+    bs = np.array([b.b for b in blocks])
+    profiles = [(alphas * 0.9, bs * 1.15), (alphas * 1.1, bs * 0.85)]
+    times = np.geomspace(1e-5, 0.2, 6) * alphas.min()
+    expected = [
+        HybridAnalyzer(blocks).reliability(times, alphas=a, bs=b)
+        for a, b in profiles
+    ]
+    assert not np.array_equal(*expected)
+
+    shared = HybridAnalyzer(blocks)
+    results: list[list[tuple[int, np.ndarray]]] = [[], []]
+    errors: list[BaseException] = []
+    start = threading.Barrier(2)
+
+    def query(k: int) -> None:
+        try:
+            start.wait(timeout=30)
+            for step in range(300):
+                p = (k + step) % 2
+                alphas_p, bs_p = profiles[p]
+                results[k].append(
+                    (p, shared.reliability(times, alphas=alphas_p, bs=bs_p))
+                )
+        except BaseException as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for got in results:
+        assert len(got) == 300
+        assert all(np.array_equal(value, expected[p]) for p, value in got)

@@ -79,6 +79,58 @@ class TestHybridEquivalence:
             fast_probs, ref_probs, rtol=0.0, atol=1e-13
         )
 
+    def test_profile_sequence_matches_oracle(self, blocks):
+        # The look-up keeps the last profile's stencil: A, B, A again
+        # (served from it) and A with its b's, then its alphas, mutated
+        # in place (each a new profile) must each read their own
+        # profile's values, and an invalid override is still rejected.
+        fast = HybridAnalyzer(blocks, n_alpha=40, n_b=40)
+        alphas = np.array([block.alpha for block in blocks])
+        bs = np.array([block.b for block in blocks])
+        profile_a = (alphas * 0.9, bs * 1.1)
+        profile_b = (alphas * 1.2, bs * 0.85)
+        query_times = np.concatenate(
+            [[0.0], np.geomspace(1e-4 * alphas.min(), 0.2 * alphas.min(), 20)]
+        )
+
+        def check(profile):
+            got = fast.block_failure_probabilities(query_times, *profile)
+            reference = oracles.hybrid_failure_probabilities(
+                fast, query_times, *(values.copy() for values in profile)
+            )
+            np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-13)
+            return got
+
+        first_a = check(profile_a)
+        check(profile_b)
+        assert np.array_equal(check(profile_a), first_a)
+        profile_a[1][:] *= 0.97
+        new_bs = check(profile_a)
+        assert not np.array_equal(new_bs, first_a)
+        profile_a[0][:] *= 1.05
+        assert not np.array_equal(check(profile_a), new_bs)
+        bad_alphas = profile_a[0].copy()
+        bad_alphas[0] = np.nan
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            fast.block_failure_probabilities(query_times, bad_alphas, profile_a[1])
+
+    def test_lookup_bit_identical_to_oracle(self, blocks):
+        # Same table, same per-element arithmetic in the same operand
+        # order: the batched look-up must read the per-block loop's
+        # floats exactly, at nominal and at overridden profiles.
+        fast = HybridAnalyzer(blocks, n_alpha=40, n_b=40)
+        alphas = np.array([block.alpha for block in blocks])
+        bs = np.array([block.b for block in blocks])
+        query_times = np.concatenate(
+            [[0.0], np.geomspace(1e-6 * alphas.min(), 0.3 * alphas.min(), 40)]
+        )
+        for scale_alpha, scale_b in ((1.0, 1.0), (0.9, 1.1), (1.2, 0.85)):
+            profile = (alphas * scale_alpha, bs * scale_b)
+            assert np.array_equal(
+                fast.block_failure_probabilities(query_times, *profile),
+                oracles.hybrid_failure_probabilities(fast, query_times, *profile),
+            )
+
     def test_out_of_range_error_matches(self, blocks):
         analyzer = HybridAnalyzer(blocks, n_alpha=40, n_b=40)
         alpha_max = max(block.alpha for block in blocks)

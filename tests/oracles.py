@@ -1,26 +1,32 @@
 """Reference loops the production kernels are checked against.
 
 Each production kernel has one implementation: vectorised conductance
-assembly and overlap rasterisation, the fused survival kernels of the
-ensemble analyzers, the on-demand hybrid table fill and the batched
-Imhof rule.  The straightforward per-cell and per-block loops they
-replaced live here, outside ``src/``, as the oracles of the equivalence
-tests (``tests/core/test_kernels_equivalence.py`` and friends).  They are
+assembly and overlap rasterisation, the block power vector, the fused
+survival kernels of the ensemble analyzers, the on-demand hybrid table
+fill and look-up, and the batched Imhof rule.  The straightforward
+per-cell and per-block loops they replaced live here, outside ``src/``,
+as the oracles of the equivalence tests
+(``tests/core/test_kernels_equivalence.py`` and friends).  They are
 written for clarity, not speed.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
+from repro.chip.floorplan import Floorplan
 from repro.chip.geometry import GridSpec, Rect
 from repro.core.closed_form import _EXP_MAX, _EXP_MIN, safe_log_t_ratio
 from repro.core.ensemble import BlockReliability, StMcAnalyzer, _survival_on_grid
 from repro.core.hybrid import HybridAnalyzer
 from repro.errors import ConfigurationError
 from repro.kernels import batched_rule_expectations, pad_rule_tables
+from repro.power.activity import ActivityProfile
+from repro.power.model import PowerModelParams
 from repro.stats.integration import Rule1D, midpoint_rule
 from repro.stats.quadform import QuadraticForm
 from repro.thermal.grid import PackageModel
@@ -83,6 +89,41 @@ def overlap_fractions(grid: GridSpec, rect: Rect) -> np.ndarray:
             if overlap > 0.0:
                 fractions[index] = overlap / rect.area
     return fractions
+
+
+def block_powers(
+    params: PowerModelParams,
+    floorplan: Floorplan,
+    profile: ActivityProfile,
+    block_temperatures: np.ndarray,
+) -> dict[str, float]:
+    """Per-block powers in watts, one block at a time in Python floats.
+
+    The dynamic-plus-leakage formula of the power model, transcribed per
+    block: leakage is infinite once its exponent passes ``ln(DBL_MAX)``.
+    The exponential is ``np.exp``, as in production; ``math.exp`` rounds
+    differently in the last bit.
+    """
+    max_exponent = math.log(np.finfo(float).max)
+    powers = {}
+    for block, temperature in zip(
+        floorplan.blocks, block_temperatures.tolist(), strict=True
+    ):
+        area = block.rect.area
+        dynamic = (
+            profile.factor(block.name)
+            * params.switched_cap_density
+            * area
+            * params.vdd**2
+            * params.frequency
+        )
+        exponent = params.leak_temp_slope * (temperature - params.leak_temp_ref)
+        if exponent > max_exponent:
+            leakage = math.inf
+        else:
+            leakage = params.leak_density_ref * area * float(np.exp(exponent))
+        powers[block.name] = dynamic + leakage
+    return powers
 
 
 def _midpoint_rules(block: BlockReliability) -> tuple[Rule1D, Rule1D]:
@@ -221,21 +262,29 @@ def _interpolate(
 
 
 def hybrid_failure_probabilities(
-    hybrid: HybridAnalyzer, times: np.ndarray
+    hybrid: HybridAnalyzer,
+    times: np.ndarray,
+    alphas: np.ndarray | None = None,
+    bs: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(n_blocks, n_times)`` interpolated failure probabilities, per block.
 
-    Reads the analyzer's fully filled table at the blocks' nominal
-    Weibull parameters.
+    Reads the analyzer's fully filled table at the per-block Weibull
+    parameters ``alphas`` and ``bs``, the blocks' nominal ones where
+    omitted.
     """
     tables = hybrid.tables
+    if alphas is None:
+        alphas = np.array([block.alpha for block in hybrid.blocks])
+    if bs is None:
+        bs = np.array([block.b for block in hybrid.blocks])
     out = np.empty((len(hybrid.blocks), times.size))
     with np.errstate(divide="ignore"):
-        for j, block in enumerate(hybrid.blocks):
+        for j in range(len(hybrid.blocks)):
             log_t_ratio = np.where(
-                times > 0.0, np.log(times / block.alpha), -np.inf
+                times > 0.0, np.log(times / float(alphas[j])), -np.inf
             )
-            out[j] = _interpolate(hybrid, tables[j], log_t_ratio, block.b)
+            out[j] = _interpolate(hybrid, tables[j], log_t_ratio, float(bs[j]))
     return out
 
 

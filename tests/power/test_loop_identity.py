@@ -10,8 +10,11 @@ and rasterize every block onto the mesh afresh (uncached):
   converged powers within rtol 1e-12.
 - :func:`_rebuilding_block_loop` iterates on a block model it builds
   itself from the uncached rasterization.  Production must agree with
-  it bit for bit: neither the cached block model nor iterating on power
-  vectors changes a float.
+  it bit for bit: neither the cached block model, nor the vector power
+  formula, nor iterating on power vectors changes a float.
+
+Both compute block powers with the scalar per-block formula of
+:func:`tests.oracles.block_powers`, not with the production model.
 """
 
 import numpy as np
@@ -21,10 +24,11 @@ from repro.chip.benchmarks import make_alpha_processor, make_benchmark, make_man
 from repro.errors import SolverError
 from repro.power.activity import ActivityProfile, available_presets
 from repro.power.loop import solve_power_thermal
-from repro.power.model import BlockPowerModel
+from repro.power.model import PowerModelParams
 from repro.thermal.factor_cache import clear_factor_cache
 from repro.thermal.hotspot import HotSpotLite
 from repro.thermal.solver import conductance_solver, solve_steady_state
+from tests import oracles
 
 DESIGNS = ["C1", "C2", "C3", "C4", "C5", "C6", "manycore", "alpha"]
 
@@ -88,13 +92,13 @@ def _rebuilding_block_temperatures(model, floorplan):
 
 
 def _loop(floorplan, profile, block_temperatures, max_iterations=25, tolerance=0.05):
-    power_model = BlockPowerModel()
+    params = PowerModelParams()
     thermal_model = HotSpotLite()
     temperatures = np.full(
         floorplan.n_blocks, thermal_model.package.ambient_temperature
     )
     for iteration in range(1, max_iterations + 1):
-        powers = power_model.floorplan_powers(floorplan, profile, temperatures)
+        powers = oracles.block_powers(params, floorplan, profile, temperatures)
         current = floorplan.with_powers(powers)
         block_temps = block_temperatures(thermal_model, current)
         change = float(np.max(np.abs(block_temps - temperatures)))
@@ -153,28 +157,25 @@ def test_block_model_loop_matches_mesh_oracle(design):
         )
 
 
-@pytest.mark.parametrize(
-    "design", ["C1", "C2", "C3", "C4", "C5", "C6", "manycore"]
-)
+@pytest.mark.parametrize("design", DESIGNS)
 def test_power_vector_loop_is_bit_identical(design):
     floorplan = _floorplan(design)
     clear_factor_cache()  # the first solve builds the block model
-    for preset in available_presets():
-        profile = ActivityProfile.preset(preset, floorplan)
+    for profile in _profiles(floorplan, n_random=5):
+        name = profile.name
         expected_fp, expected_field, expected_temps, expected_iterations = (
             _rebuilding_block_loop(floorplan, profile)
         )
         # Twice: the second solve is always served from the warm model.
         for _ in range(2):
             solution = solve_power_thermal(floorplan, profile)
-            assert solution.iterations == expected_iterations, preset
-            assert solution.floorplan == expected_fp, preset
-            assert np.array_equal(
-                _powers(solution.floorplan), _powers(expected_fp)
-            ), preset
+            assert solution.iterations == expected_iterations, name
+            assert np.array_equal(solution.block_powers, _powers(expected_fp)), name
+            assert not solution.block_powers.flags.writeable
             assert np.array_equal(
                 solution.block_temperatures, expected_temps
-            ), preset
+            ), name
+            assert solution.floorplan == expected_fp, name
             assert np.array_equal(
                 solution.thermal.field.values, expected_field.values
-            ), preset
+            ), name

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.chip.benchmarks import make_alpha_processor
+from repro.chip.floorplan import Floorplan
 from repro.errors import ConfigurationError, SolverError
 from repro.power.activity import (
     ActivityProfile,
@@ -14,6 +16,7 @@ from repro.power.activity import (
 from repro.power.loop import solve_power_thermal
 from repro.power.model import BlockPowerModel, PowerModelParams
 from repro.thermal.hotspot import HotSpotLite
+from tests import oracles
 
 
 class TestClassifyBlock:
@@ -97,6 +100,48 @@ class TestBlockPowerModel:
         with pytest.raises(ConfigurationError):
             model.floorplan_powers(tiny_floorplan, profile, np.zeros(5))
 
+    def test_block_powers_match_scalar_oracle(self):
+        # Per element, the vector formula is the scalar one: random
+        # temperatures, one past the overflow point (inf, no warning).
+        alpha = make_alpha_processor()
+        model = BlockPowerModel(PowerModelParams(leak_temp_slope=0.5))
+        profile = ActivityProfile.preset("fp_heavy", alpha)
+        temperatures = np.random.default_rng(5).uniform(20.0, 140.0, alpha.n_blocks)
+        temperatures[3] = 1e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            powers = model.block_powers(alpha, profile, temperatures)
+            by_name = model.floorplan_powers(alpha, profile, temperatures)
+        expected = oracles.block_powers(model.params, alpha, profile, temperatures)
+        assert powers.tolist() == list(expected.values())
+        assert by_name == expected
+        assert powers[3] == np.inf
+        assert np.isfinite(np.delete(powers, 3)).all()
+        for j, block in enumerate(alpha.blocks):
+            scalar = model.block_power(
+                block.rect.area, profile.factor(block.name), temperatures[j]
+            )
+            assert isinstance(scalar, float)
+            assert scalar == powers[j]
+
+    def test_unknown_block_factor_rejected(self):
+        alpha = make_alpha_processor()
+        profile = ActivityProfile(name="typo", factors={"icachee": 0.9})
+        model = BlockPowerModel()
+        with pytest.raises(ConfigurationError, match="icachee"):
+            model.block_powers(alpha, profile)
+        with pytest.raises(ConfigurationError, match="icachee"):
+            model.floorplan_powers(alpha, profile)
+
+    def test_missing_blocks_take_the_default(self, tiny_floorplan):
+        model = BlockPowerModel()
+        profile = ActivityProfile(name="partial", factors={"hot": 0.9}, default=0.2)
+        powers = model.floorplan_powers(tiny_floorplan, profile)
+        cool = tiny_floorplan.block("cool")
+        assert powers["cool"] == model.block_power(
+            cool.rect.area, 0.2, model.params.leak_temp_ref
+        )
+
     def test_params_validation(self):
         with pytest.raises(ConfigurationError):
             PowerModelParams(vdd=0.0)
@@ -166,3 +211,54 @@ class TestPowerThermalLoop:
             warnings.simplefilter("error", RuntimeWarning)
             assert model.leakage_power(1.0, 1e4) == float("inf")
             assert np.isfinite(model.leakage_power(1.0, 100.0))
+
+    def test_unknown_block_factor_rejected(self):
+        # A misspelt block used to solve every block at the default 0.5.
+        alpha = make_alpha_processor()
+        profile = ActivityProfile(name="typo", factors={"icachee": 0.9})
+        with pytest.raises(ConfigurationError, match=r"typo.*\['icachee'\]"):
+            solve_power_thermal(alpha, profile)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"tolerance": -1.0}, "tolerance"),
+            ({"tolerance": float("nan")}, "tolerance"),
+            ({"tolerance": float("inf")}, "tolerance"),
+            ({"max_iterations": 0}, "max_iterations"),
+            ({"max_iterations": -3}, "max_iterations"),
+        ],
+        ids=[
+            "negative-tolerance",
+            "nan-tolerance",
+            "inf-tolerance",
+            "zero-iterations",
+            "negative-iterations",
+        ],
+    )
+    def test_invalid_arguments_rejected(self, tiny_floorplan, kwargs, name):
+        # These used to end as "did not converge ... thermal runaway".
+        profile = ActivityProfile.preset("typical", tiny_floorplan)
+        with pytest.raises(ConfigurationError, match=name):
+            solve_power_thermal(tiny_floorplan, profile, **kwargs)
+
+    def test_floorplan_built_on_first_read(self, tiny_floorplan, monkeypatch):
+        calls = []
+        with_powers = Floorplan.with_powers
+
+        def counting(self, powers):
+            calls.append(powers)
+            return with_powers(self, powers)
+
+        monkeypatch.setattr(Floorplan, "with_powers", counting)
+        profile = ActivityProfile.preset("typical", tiny_floorplan)
+        solution = solve_power_thermal(tiny_floorplan, profile)
+        assert solution.block_temperatures.shape == (2,)
+        assert calls == []
+        floorplan = solution.floorplan
+        assert solution.floorplan is floorplan
+        assert len(calls) == 1
+        assert [b.power for b in floorplan.blocks] == solution.block_powers.tolist()
+        assert solution.input_floorplan is tiny_floorplan
+        with pytest.raises(ValueError):
+            solution.block_powers[0] = 0.0
