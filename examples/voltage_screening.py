@@ -12,32 +12,12 @@ Run:  python examples/voltage_screening.py
 
 from __future__ import annotations
 
-import dataclasses
-
-from scipy import optimize
-
 from repro import AnalysisConfig, ReliabilityAnalyzer, make_benchmark
+from repro.core.voltage import max_vdd_for_target
 from repro.units import years_to_hours
 
 TARGET_YEARS = 10.0
 TARGET_PPM = 10.0
-
-
-def max_vdd(floorplan, method: str, config: AnalysisConfig) -> float:
-    """Largest Vdd whose ppm lifetime still meets the target."""
-    target_hours = years_to_hours(TARGET_YEARS)
-
-    def margin(vdd: float) -> float:
-        analyzer = ReliabilityAnalyzer(
-            floorplan, config=dataclasses.replace(config, vdd=vdd)
-        )
-        return analyzer.lifetime(TARGET_PPM, method=method) - target_hours
-
-    # Lifetime falls monotonically with Vdd; bracket then bisect.
-    lo, hi = 1.0, 2.0
-    assert margin(lo) > 0.0, "target not met even at Vdd = 1.0 V"
-    assert margin(hi) < 0.0, "target met even at Vdd = 2.0 V"
-    return float(optimize.brentq(margin, lo, hi, xtol=1e-4))
 
 
 def relative_frequency(vdd: float, vth: float = 0.35, power: float = 1.3) -> float:
@@ -55,9 +35,18 @@ def main() -> None:
     )
     print()
 
+    # Each probed Vdd is an operating point of this one analysis: the
+    # design model (grid, BLODs, rule tables) is built once.
+    analyzer = ReliabilityAnalyzer(floorplan, config=config)
     results = {}
     for method in ("guard", "temp_unaware", "st_fast"):
-        vdd = max_vdd(floorplan, method, config)
+        vdd = max_vdd_for_target(
+            analyzer,
+            years_to_hours(TARGET_YEARS),
+            ppm=TARGET_PPM,
+            method=method,
+            vdd_range=(1.0, 2.0),
+        ).max_vdd
         results[method] = vdd
         print(
             f"max Vdd by {method:>12}: {vdd:.3f} V "

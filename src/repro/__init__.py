@@ -31,7 +31,6 @@ from repro.core.ensemble import (
     BlockReliability,
     StFastAnalyzer,
     StMcAnalyzer,
-    worst_case_blocks,
 )
 from repro.core.guardband import GuardBandAnalyzer
 from repro.core.hybrid import HybridAnalyzer
@@ -195,5 +194,4 @@ __all__ = [
     "ppm_to_reliability",
     "solve_lifetime",
     "solve_power_thermal",
-    "worst_case_blocks",
 ]

@@ -43,7 +43,7 @@ from typing import Any
 
 from repro import __version__, obs, payloads
 from repro.chip.benchmarks import BENCHMARK_DEVICE_COUNTS, make_benchmark
-from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
+from repro.core.analyzer import METHODS, ReliabilityAnalyzer, build_analyzer
 from repro.errors import ReproError
 from repro.exec.backends import resolve_backend
 from repro.units import hours_to_years
@@ -127,21 +127,13 @@ def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_analyzer(args: argparse.Namespace) -> ReliabilityAnalyzer:
-    jobs = getattr(args, "jobs", None)
+    setup = None
     if args.setup:
-        import dataclasses
-
         from repro.io.design_json import load_setup
 
         floorplan, budget, obd_model, config = load_setup(args.setup)
-        if args.vdd is not None:
-            config = dataclasses.replace(config, vdd=args.vdd)
-        if jobs is not None:
-            config = dataclasses.replace(config, exec_jobs=jobs)
-        return ReliabilityAnalyzer(
-            floorplan, budget=budget, obd_model=obd_model, config=config
-        )
-    if args.flp:
+        setup = (budget, obd_model, config)
+    elif args.flp:
         from repro.io.hotspot_files import apply_ptrace_sample, read_flp, read_ptrace
 
         floorplan = read_flp(args.flp)
@@ -150,10 +142,14 @@ def _build_analyzer(args: argparse.Namespace) -> ReliabilityAnalyzer:
             floorplan = apply_ptrace_sample(floorplan, names, powers)
     else:
         floorplan = make_benchmark(args.design)
-    config = AnalysisConfig(
-        grid_size=args.grid, rho_dist=args.rho, vdd=args.vdd, exec_jobs=jobs
+    return build_analyzer(
+        floorplan,
+        grid_size=args.grid,
+        rho_dist=args.rho,
+        vdd=args.vdd,
+        exec_jobs=getattr(args, "jobs", None),
+        setup=setup,
     )
-    return ReliabilityAnalyzer(floorplan, config=config)
 
 
 def _load_scenario_file(path: str) -> Any:

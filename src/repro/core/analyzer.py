@@ -13,12 +13,15 @@
    - ``temp_unaware`` — statistical thickness, worst-case temperature,
    - ``guard``     — traditional guard-band corner (eq. (33)-(34)),
    - ``mc``        — Monte-Carlo reference over sample chips.
+
+Steps 2-3 live in a temperature-free :class:`DesignModel`; step 1 gives
+the operating point, and :meth:`ReliabilityAnalyzer.at` moves it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -27,9 +30,11 @@ from repro.chip.floorplan import Floorplan
 from repro.core.blod import characterize_blods
 from repro.core.ensemble import (
     BlockReliability,
+    RuleTables,
     StFastAnalyzer,
     StMcAnalyzer,
-    worst_case_blocks,
+    block_rule_tables,
+    draw_sample_cloud,
 )
 from repro.core.guardband import GuardBandAnalyzer
 from repro.core.hybrid import HybridAnalyzer
@@ -42,7 +47,11 @@ from repro.exec.sharding import DEFAULT_SHARD_SIZE
 from repro.obs import metrics
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
-from repro.thermal.hotspot import HotSpotLite, uniform_temperature_result
+from repro.thermal.hotspot import (
+    HotSpotLite,
+    ThermalResult,
+    uniform_temperature_result,
+)
 from repro.variation.components import VariationBudget
 from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.pca import build_canonical_model
@@ -137,133 +146,153 @@ class AnalysisConfig:
     include_residual_fluctuation: bool = True
 
 
-class ReliabilityAnalyzer:
-    """Process-variation and temperature-aware full-chip OBD analysis.
+class DesignModel:
+    """The temperature-free half of an analysis, shared by every operating point.
 
-    Parameters
-    ----------
-    floorplan:
-        The design: temperature-uniform blocks with device populations.
-    budget:
-        Thickness-variation budget; defaults to the paper's Table II.
-    obd_model:
-        Device-level OBD model; defaults to the calibrated
-        :class:`OBDModel`.
-    config:
-        Flow configuration; defaults to the paper's setup.
-    block_temperatures:
-        Optional explicit per-block temperatures (celsius, floorplan
-        order). When omitted, a thermal analysis is run on the floorplan's
-        block powers; if the floorplan carries no power at all, every
-        block is placed at the OBD model's reference temperature.
-    thermal_model:
-        Thermal analyzer used when temperatures are not given.
-    mean_offsets:
-        Optional per-grid-cell deterministic thickness offsets (nm) — a
-        wafer-level systematic pattern, typically from
-        :meth:`repro.variation.wafer.WaferPattern.grid_offsets`.
+    Grid, canonical model, sampler and BLODs are built on construction;
+    the rule tables and the st_mc sample cloud on first use.
     """
 
     def __init__(
         self,
         floorplan: Floorplan,
-        budget: VariationBudget | None = None,
-        obd_model: OBDModel | None = None,
-        config: AnalysisConfig | None = None,
-        block_temperatures: np.ndarray | None = None,
-        thermal_model: HotSpotLite | None = None,
+        budget: VariationBudget,
+        config: AnalysisConfig,
         mean_offsets: np.ndarray | None = None,
     ) -> None:
         self.floorplan = floorplan
-        self.budget = budget if budget is not None else VariationBudget.table2()
-        self.obd_model = obd_model if obd_model is not None else OBDModel()
-        self.config = config if config is not None else AnalysisConfig()
+        self.budget = budget
+        self.config = config
+        self.mean_offsets = mean_offsets
+        self.grid = floorplan.make_grid(config.grid_size)
+        with span("pca", model=config.correlation_model) as pca_span:
+            if config.correlation_model == "grid":
+                self.correlation = SpatialCorrelationModel(
+                    grid=self.grid, rho_dist=config.rho_dist, kernel=config.kernel
+                )
+                self.canonical = build_canonical_model(
+                    budget,
+                    self.correlation,
+                    energy=config.pca_energy,
+                    max_factors=config.max_factors,
+                    mean_offsets=mean_offsets,
+                )
+            elif config.correlation_model == "quadtree":
+                from repro.variation.quadtree import build_quadtree_model
 
-        with span(
-            "analyzer.setup",
-            blocks=floorplan.n_blocks,
-            devices=floorplan.n_devices,
-        ):
-            with span("thermal"):
-                if block_temperatures is not None:
-                    block_temperatures = np.asarray(
-                        block_temperatures, dtype=float
-                    )
-                    if block_temperatures.shape != (floorplan.n_blocks,):
-                        raise ConfigurationError(
-                            f"expected {floorplan.n_blocks} block "
-                            f"temperatures, got shape "
-                            f"{block_temperatures.shape}"
-                        )
-                    self.thermal = None
-                    self.block_temperatures = block_temperatures
-                elif floorplan.total_power > 0.0:
-                    thermal_model = (
-                        thermal_model
-                        if thermal_model is not None
-                        else HotSpotLite()
-                    )
-                    self.thermal = thermal_model.analyze(floorplan)
-                    self.block_temperatures = self.thermal.block_temperatures
-                else:
-                    self.thermal = uniform_temperature_result(
-                        floorplan, self.obd_model.t_ref
-                    )
-                    self.block_temperatures = self.thermal.block_temperatures
-
-            cfg = self.config
-            self.grid = floorplan.make_grid(cfg.grid_size)
-            with span("pca", model=cfg.correlation_model) as pca_span:
-                if cfg.correlation_model == "grid":
-                    self.correlation = SpatialCorrelationModel(
-                        grid=self.grid, rho_dist=cfg.rho_dist, kernel=cfg.kernel
-                    )
-                    self.canonical = build_canonical_model(
-                        self.budget,
-                        self.correlation,
-                        energy=cfg.pca_energy,
-                        max_factors=cfg.max_factors,
-                        mean_offsets=mean_offsets,
-                    )
-                elif cfg.correlation_model == "quadtree":
-                    from repro.variation.quadtree import build_quadtree_model
-
-                    self.correlation = None
-                    self.canonical = build_quadtree_model(
-                        self.budget,
-                        self.grid,
-                        levels=cfg.quadtree_levels,
-                        mean_offsets=mean_offsets,
-                    )
-                else:
-                    raise ConfigurationError(
-                        f"unknown correlation model {cfg.correlation_model!r}; "
-                        "expected 'grid' or 'quadtree'"
-                    )
-                metrics.inc("pca.factors", self.canonical.n_factors)
-                pca_span.set(factors=self.canonical.n_factors)
-
-            with span("blod", blocks=floorplan.n_blocks):
-                self.sampler = ChipSampler(floorplan, self.grid, self.canonical)
-                self.blods = characterize_blods(
-                    floorplan,
+                self.correlation = None
+                self.canonical = build_quadtree_model(
+                    budget,
                     self.grid,
-                    self.canonical,
-                    self.sampler.assignments,
+                    levels=config.quadtree_levels,
+                    mean_offsets=mean_offsets,
                 )
-                params = self.obd_model.block_params(
-                    self.block_temperatures, cfg.vdd
+            else:
+                raise ConfigurationError(
+                    f"unknown correlation model {config.correlation_model!r}; "
+                    "expected 'grid' or 'quadtree'"
                 )
-                self.blocks = [
-                    BlockReliability(blod=blod, alpha=p.alpha, b=p.b)
-                    for blod, p in zip(self.blods, params, strict=True)
-                ]
-        logger.debug(
-            "prepared analyzer: %d blocks, %d devices, %d PCA factors",
-            floorplan.n_blocks,
-            floorplan.n_devices,
-            self.canonical.n_factors,
+            metrics.inc("pca.factors", self.canonical.n_factors)
+            pca_span.set(factors=self.canonical.n_factors)
+
+        with span("blod", blocks=floorplan.n_blocks):
+            self.sampler = ChipSampler(floorplan, self.grid, self.canonical)
+            self.blods = characterize_blods(
+                floorplan,
+                self.grid,
+                self.canonical,
+                self.sampler.assignments,
+            )
+
+    def _rule_tables(self, rule: str) -> RuleTables:
+        cfg = self.config
+        return block_rule_tables(
+            self.blods, cfg.l0, cfg.tail, rule, cfg.include_residual_fluctuation
         )
+
+    @cached_property
+    def st_fast_tables(self) -> RuleTables:
+        """st_fast's rule tables under the configured integration rule."""
+        return self._rule_tables(self.config.integration_rule)
+
+    @cached_property
+    def midpoint_tables(self) -> RuleTables:
+        """The hybrid's midpoint tables: st_fast's under the midpoint rule."""
+        if self.config.integration_rule == "midpoint":
+            return self.st_fast_tables
+        return self._rule_tables("midpoint")
+
+    @cached_property
+    def sample_cloud(self) -> tuple[np.ndarray, np.ndarray]:
+        """The st_mc sample cloud, drawn once per design."""
+        cfg = self.config
+        return draw_sample_cloud(
+            self.blods, cfg.st_mc_samples, cfg.seed,
+            backend=self.exec_backend, shard_size=cfg.mc_shard_size,
+        )
+
+    @cached_property
+    def exec_backend(self) -> ExecBackend:
+        """The execution backend shared by the sampled engines."""
+        cfg = self.config
+        return resolve_backend(cfg.exec_backend, cfg.exec_jobs)
+
+
+class _OperatingPoint:
+    """A :class:`DesignModel` at one operating point: block temperatures and vdd.
+
+    They give every block's Weibull :attr:`alphas` and :attr:`bs`, where
+    every method evaluates the design model.
+    """
+
+    def __init__(
+        self,
+        design: DesignModel,
+        obd_model: OBDModel,
+        config: AnalysisConfig,
+        block_temperatures: np.ndarray,
+        thermal: ThermalResult | None = None,
+    ) -> None:
+        """Bind ``design`` at one operating point: the step ``__init__`` and :meth:`at` end with."""
+        self.design = design
+        self.floorplan = design.floorplan
+        self.budget = design.budget
+        self.grid = design.grid
+        self.correlation = design.correlation
+        self.canonical = design.canonical
+        self.sampler = design.sampler
+        self.blods = design.blods
+        self.obd_model = obd_model
+        self.config = config
+        self.thermal = thermal
+        self.block_temperatures = np.asarray(block_temperatures, dtype=float)
+        if self.block_temperatures.shape != (design.floorplan.n_blocks,):
+            raise ConfigurationError(
+                f"expected {design.floorplan.n_blocks} block temperatures, "
+                f"got shape {self.block_temperatures.shape}"
+            )
+        params = obd_model.block_params(self.block_temperatures, config.vdd)
+        self.blocks = [
+            BlockReliability(blod=blod, alpha=p.alpha, b=p.b)
+            for blod, p in zip(design.blods, params, strict=True)
+        ]
+        self.alphas = np.array([p.alpha for p in params])
+        self.bs = np.array([p.b for p in params])
+
+    def at(
+        self, block_temperatures: np.ndarray, vdd: float | None = None
+    ) -> ReliabilityAnalyzer:
+        """This design at other block temperatures (celsius) and ``vdd``.
+
+        ``vdd=None`` keeps this analyzer's.  The result shares :attr:`design`
+        (rule tables, sample cloud): nothing temperature-free is rebuilt.
+        """
+        config = self.config if vdd is None else replace(self.config, vdd=vdd)
+        point = ReliabilityAnalyzer.__new__(ReliabilityAnalyzer)
+        _OperatingPoint.__init__(
+            point, self.design, self.obd_model, config, block_temperatures
+        )
+        return point
 
     # ------------------------------------------------------------------
     # Lazily constructed per-method analyzers
@@ -272,13 +301,8 @@ class ReliabilityAnalyzer:
     @cached_property
     def st_fast(self) -> StFastAnalyzer:
         """The marginal-product statistical analyzer."""
-        cfg = self.config
         return StFastAnalyzer(
-            self.blocks,
-            l0=cfg.l0,
-            tail=cfg.tail,
-            rule=cfg.integration_rule,
-            include_residual_fluctuation=cfg.include_residual_fluctuation,
+            self.blocks, rule_tables=self.design.st_fast_tables
         )
 
     @cached_property
@@ -287,37 +311,41 @@ class ReliabilityAnalyzer:
         cfg = self.config
         return StMcAnalyzer(
             self.blocks,
-            n_samples=cfg.st_mc_samples,
-            seed=cfg.seed,
             estimator=cfg.st_mc_estimator,
             bins=cfg.l0,
-            backend=self.exec_backend,
-            shard_size=cfg.mc_shard_size,
+            cloud=self.design.sample_cloud,
         )
 
     @cached_property
     def hybrid(self) -> HybridAnalyzer:
-        """The table-look-up analyzer."""
+        """The table-look-up analyzer (``b`` axis centred on this point)."""
         cfg = self.config
         return HybridAnalyzer(
             self.blocks,
             n_alpha=cfg.hybrid_n_alpha,
             n_b=cfg.hybrid_n_b,
-            l0=cfg.l0,
-            tail=cfg.tail,
-            include_residual_fluctuation=cfg.include_residual_fluctuation,
+            rule_tables=self.design.midpoint_tables,
+        )
+
+    @cached_property
+    def worst_case(self) -> tuple[np.ndarray, np.ndarray]:
+        """temp_unaware's ``(alphas, bs)``: the hottest block's pair on every block.
+
+        The hottest block has the smallest ``alpha`` (the first on ties).
+        """
+        hottest = int(np.argmin(self.alphas))
+        return (
+            np.full(self.alphas.size, self.alphas[hottest]),
+            np.full(self.bs.size, self.bs[hottest]),
         )
 
     @cached_property
     def temp_unaware(self) -> StFastAnalyzer:
-        """Statistical analysis at a uniform worst-case temperature."""
-        cfg = self.config
+        """Fig. 10's worst-case-temperature analysis: st_fast at :attr:`worst_case`."""
+        alpha, b = (float(values[0]) for values in self.worst_case)
         return StFastAnalyzer(
-            worst_case_blocks(self.blocks),
-            l0=cfg.l0,
-            tail=cfg.tail,
-            rule=cfg.integration_rule,
-            include_residual_fluctuation=cfg.include_residual_fluctuation,
+            [replace(block, alpha=alpha, b=b) for block in self.blocks],
+            rule_tables=self.design.st_fast_tables,
         )
 
     @cached_property
@@ -332,11 +360,10 @@ class ReliabilityAnalyzer:
             x_min=self.budget.minimum_thickness,
         )
 
-    @cached_property
+    @property
     def exec_backend(self) -> ExecBackend:
         """The execution backend shared by the sampled engines."""
-        cfg = self.config
-        return resolve_backend(cfg.exec_backend, cfg.exec_jobs)
+        return self.design.exec_backend
 
     @cached_property
     def mc_engine(self) -> MonteCarloEngine:
@@ -371,23 +398,14 @@ class ReliabilityAnalyzer:
             )
         with span("analyzer.reliability", method=method):
             with span(method, times=int(np.atleast_1d(times_arr).size)):
-                if method == "st_fast":
-                    value = np.atleast_1d(self.st_fast.reliability(times_arr))
-                elif method == "st_mc":
-                    value = np.atleast_1d(self.st_mc.reliability(times_arr))
-                elif method == "hybrid":
-                    value = np.atleast_1d(self.hybrid.reliability(times_arr))
-                elif method == "temp_unaware":
-                    value = np.atleast_1d(
-                        self.temp_unaware.reliability(times_arr)
-                    )
-                elif method == "guard":
-                    value = np.atleast_1d(self.guard.reliability(times_arr))
-                else:  # mc
+                if method == "mc":
                     curve = self.mc_reliability_curve(
                         np.atleast_1d(times_arr), n_chips=mc_chips, seed=mc_seed
                     )
                     value = curve.reliability
+                else:  # the method property of the same name
+                    engine = getattr(self, method)
+                    value = np.atleast_1d(engine.reliability(times_arr))
         return float(value[0]) if scalar else value
 
     def lifetime(
@@ -556,3 +574,103 @@ class ReliabilityAnalyzer:
                 "pca_factors": self.canonical.n_factors,
             },
         }
+
+
+class ReliabilityAnalyzer(_OperatingPoint):
+    """Process-variation and temperature-aware full-chip OBD analysis.
+
+    Builds the :class:`DesignModel` of ``floorplan`` at the design's own
+    operating point; :meth:`at` moves the point and keeps the model.
+
+    Parameters
+    ----------
+    floorplan:
+        The design: temperature-uniform blocks with device populations.
+    budget:
+        Thickness-variation budget; defaults to the paper's Table II.
+    obd_model:
+        Device-level OBD model; defaults to the calibrated
+        :class:`OBDModel`.
+    config:
+        Flow configuration; defaults to the paper's setup.
+    block_temperatures:
+        Optional explicit per-block temperatures (celsius, floorplan
+        order). When omitted, a thermal analysis is run on the floorplan's
+        block powers; if the floorplan carries no power at all, every
+        block is placed at the OBD model's reference temperature.
+    thermal_model:
+        Thermal analyzer used when temperatures are not given.
+    mean_offsets:
+        Optional per-grid-cell deterministic thickness offsets (nm) — a
+        wafer-level systematic pattern, typically from
+        :meth:`repro.variation.wafer.WaferPattern.grid_offsets`.
+    """
+
+    def __init__(
+        self,
+        floorplan: Floorplan,
+        budget: VariationBudget | None = None,
+        obd_model: OBDModel | None = None,
+        config: AnalysisConfig | None = None,
+        block_temperatures: np.ndarray | None = None,
+        thermal_model: HotSpotLite | None = None,
+        mean_offsets: np.ndarray | None = None,
+    ) -> None:
+        budget = budget if budget is not None else VariationBudget.table2()
+        obd_model = obd_model if obd_model is not None else OBDModel()
+        config = config if config is not None else AnalysisConfig()
+
+        with span(
+            "analyzer.setup",
+            blocks=floorplan.n_blocks,
+            devices=floorplan.n_devices,
+        ):
+            with span("thermal"):
+                thermal = None
+                if block_temperatures is None:
+                    if floorplan.total_power > 0.0:
+                        model = thermal_model or HotSpotLite()
+                        thermal = model.analyze(floorplan)
+                    else:
+                        thermal = uniform_temperature_result(
+                            floorplan, obd_model.t_ref
+                        )
+                    block_temperatures = thermal.block_temperatures
+            design = DesignModel(floorplan, budget, config, mean_offsets)
+            super().__init__(
+                design, obd_model, config, block_temperatures, thermal
+            )
+        logger.debug(
+            "prepared analyzer: %d blocks, %d devices, %d PCA factors",
+            floorplan.n_blocks,
+            floorplan.n_devices,
+            self.canonical.n_factors,
+        )
+
+
+def build_analyzer(
+    floorplan: Floorplan,
+    grid_size: int = 25,
+    rho_dist: float = 0.5,
+    vdd: float | None = None,
+    exec_jobs: int | None = None,
+    setup: tuple[VariationBudget, OBDModel, AnalysisConfig] | None = None,
+) -> ReliabilityAnalyzer:
+    """The analyzer a CLI command or a service job asks for.
+
+    A ``setup`` (budget, OBD model, config) brings its own config in place
+    of ``grid_size``/``rho_dist``; ``vdd`` and ``exec_jobs`` override it.
+    """
+    budget: VariationBudget | None = None
+    obd_model: OBDModel | None = None
+    if setup is None:
+        config = AnalysisConfig(grid_size=grid_size, rho_dist=rho_dist)
+    else:
+        budget, obd_model, config = setup
+    if vdd is not None:
+        config = replace(config, vdd=vdd)
+    if exec_jobs is not None:
+        config = replace(config, exec_jobs=exec_jobs)
+    return ReliabilityAnalyzer(
+        floorplan, budget=budget, obd_model=obd_model, config=config
+    )

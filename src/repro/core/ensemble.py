@@ -15,7 +15,8 @@ distributions:
   modest runtime overhead.
 
 Both share the eq. (18) first-order combination across blocks, so only the
-per-block expectation differs.
+per-block expectation differs; ``alphas=``/``bs=`` evaluate it at another
+operating point.
 """
 
 from __future__ import annotations
@@ -127,52 +128,145 @@ def midpoint_block_rules(
     return list(zip(u_rules, v_rules, strict=True))
 
 
-def pad_block_rules(
-    rules: Sequence[tuple[Rule1D, Rule1D]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(u_points, u_weights, v_points, v_weights)`` (block, node) tables.
+@dataclass(frozen=True)
+class RuleTables:
+    """Every block's padded ``(u, v)`` quadrature tables (see :func:`pad_rule_tables`).
 
-    The layout the fused kernels of :mod:`repro.kernels.survival` take;
-    zero-weight padding keeps ragged blocks (a point-mass variance has
-    one node) exact.
+    They depend on the BLODs alone: st_fast, the hybrid table fill and the
+    scenario engine read one design's tables at any operating point.
     """
+
+    log_areas: np.ndarray
+    u_points: np.ndarray
+    u_weights: np.ndarray
+    v_points: np.ndarray
+    v_weights: np.ndarray
+    #: Tensor-rule nodes summed over the (unpadded) blocks.
+    rule_nodes: int
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The kernels' table arguments, ``log_areas`` to ``v_weights``."""
+        return (self.log_areas, self.u_points, self.u_weights,
+                self.v_points, self.v_weights)
+
+    def tile(self, reps: int) -> RuleTables:
+        """The tables repeated ``reps`` times along the block axis."""
+        log_areas, *tables = self.arrays
+        return RuleTables(
+            np.tile(log_areas, reps),
+            *(np.tile(table, (reps, 1)) for table in tables),
+            reps * self.rule_nodes,
+        )
+
+    def expectations(self, log_t_ratios: np.ndarray) -> np.ndarray:
+        """``(rows, times)`` survival expectations of a scaled ratio profile."""
+        metrics.inc(
+            "integration.subdomain_evals", log_t_ratios.shape[1] * self.rule_nodes
+        )
+        return batched_rule_expectations(log_t_ratios, *self.arrays)
+
+
+def block_rule_tables(
+    blods: Sequence[BlodModel],
+    l0: int = 10,
+    tail: float = 1e-6,
+    rule: str = "midpoint",
+    include_residual_fluctuation: bool = True,
+) -> RuleTables:
+    """Every block's ``(u, v)`` rules (see :class:`StFastAnalyzer`) as tables."""
+    if rule not in ("midpoint", "gauss"):
+        raise ConfigurationError(f"unknown rule {rule!r}")
+    with span("st_fast.rules", blocks=len(blods), l0=l0, rule=rule):
+        if rule == "midpoint":
+            rules = midpoint_block_rules(
+                blods, l0, tail, include_residual_fluctuation
+            )
+        else:
+            rules = [
+                (
+                    gauss_hermite_rule(blod.u_dist(), n_points=max(l0, 8)),
+                    quantile_rule(
+                        blod.v_chi2_match(include_residual_fluctuation),
+                        n_points=max(l0, 8),
+                    ),
+                )
+                for blod in blods
+            ]
     u_points, u_weights = pad_rule_tables(
         [u.points for u, _ in rules], [u.weights for u, _ in rules]
     )
     v_points, v_weights = pad_rule_tables(
         [v.points for _, v in rules], [v.weights for _, v in rules]
     )
-    return u_points, u_weights, v_points, v_weights
+    rule_nodes = sum(u.points.size * v.points.size for u, v in rules)
+    log_areas = np.log([blod.area for blod in blods])
+    return RuleTables(log_areas, u_points, u_weights, v_points, v_weights, rule_nodes)
 
 
 class _EnsembleAnalyzerBase:
-    """Shared eq. (18)/(28) combination logic."""
+    """Shared eq. (18)/(28) combination logic.
+
+    ``alphas``/``bs`` override the blocks' nominal Weibull parameters (the
+    same design at another operating point); ``None`` keeps them.
+    """
 
     blocks: list[BlockReliability]
+    _nominal: tuple[np.ndarray, np.ndarray]
 
-    def _block_expectations(self, times: np.ndarray) -> np.ndarray:
+    def _set_blocks(self, blocks: Sequence[BlockReliability]) -> None:
+        if not blocks:
+            raise ConfigurationError("need at least one block")
+        self.blocks = list(blocks)
+        self._nominal = (
+            np.array([block.alpha for block in self.blocks]),
+            np.array([block.b for block in self.blocks]),
+        )
+
+    def _check_override(self, name: str, values: np.ndarray) -> None:
+        """Check a per-block ``alpha`` or ``b`` override: finite and positive."""
+        if values.shape != (len(self.blocks),):
+            raise ConfigurationError("need one (alpha, b) pair per block")
+        # NaN fails both comparisons.
+        if not (values.min() > 0.0 and values.max() < np.inf):
+            bad = int(np.argmin((values > 0.0) & (values < np.inf)))
+            raise ConfigurationError(
+                f"block {self.blocks[bad].name!r}: {name} must be finite "
+                f"and positive, got {values[bad]}"
+            )
+
+    def _weibull_params(
+        self, alphas: np.ndarray | None, bs: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(alphas, bs)`` to evaluate at: checked overrides, else nominal."""
+        if alphas is None:
+            alphas = self._nominal[0]
+        else:
+            alphas = np.asarray(alphas, dtype=float)
+            self._check_override("alpha", alphas)
+        if bs is None:
+            bs = self._nominal[1]
+        else:
+            bs = np.asarray(bs, dtype=float)
+            self._check_override("b", bs)
+        return alphas, bs
+
+    def _block_expectations(
+        self, times: np.ndarray, alphas: np.ndarray, bs: np.ndarray
+    ) -> np.ndarray:
         """``(n_blocks, n_times)`` ``E[exp(-A_j g(u_j, v_j))]``; per-analyzer."""
         raise NotImplementedError
 
-    def _weibull_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block ``(alphas, bs)`` arrays, built once per analyzer."""
-        cached = self.__dict__.get("_weibull_ab")
-        if cached is None:
-            cached = (
-                np.array([block.alpha for block in self.blocks]),
-                np.array([block.b for block in self.blocks]),
-            )
-            self.__dict__["_weibull_ab"] = cached
-        return cached
-
-    def _scaled_log_t_ratios(self, times: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _scaled_log_t_ratios(
+        times: np.ndarray, alphas: np.ndarray, bs: np.ndarray
+    ) -> np.ndarray:
         """``(n_blocks, n_times)`` matrix of ``b_j * ln(t / alpha_j)``.
 
         ``t = 0`` maps to ``-inf`` (survival 1 downstream), matching
         :func:`repro.core.closed_form.safe_log_t_ratio` per block.
         """
         check_times(times)
-        alphas, bs = self._weibull_vectors()
         with np.errstate(divide="ignore"):
             ratios = np.where(
                 times[None, :] > 0.0,
@@ -181,13 +275,24 @@ class _EnsembleAnalyzerBase:
             )
         return bs[:, None] * ratios
 
-    def block_failure_probabilities(self, times: np.ndarray | float) -> np.ndarray:
+    def block_failure_probabilities(
+        self,
+        times: np.ndarray | float,
+        alphas: np.ndarray | None = None,
+        bs: np.ndarray | None = None,
+    ) -> np.ndarray:
         """``(n_blocks, n_times)`` ensemble block failure probabilities."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return 1.0 - self._block_expectations(times)
+        return 1.0 - self._block_expectations(
+            times, *self._weibull_params(alphas, bs)
+        )
 
     def reliability(
-        self, times: np.ndarray | float, clip: bool = True
+        self,
+        times: np.ndarray | float,
+        alphas: np.ndarray | None = None,
+        bs: np.ndarray | None = None,
+        clip: bool = True,
     ) -> np.ndarray:
         """Ensemble chip reliability ``R_c(t)`` (eq. (28)).
 
@@ -196,17 +301,23 @@ class _EnsembleAnalyzerBase:
         """
         times = np.asarray(times, dtype=float)
         scalar = times.ndim == 0
-        failures = self.block_failure_probabilities(times)
+        failures = self.block_failure_probabilities(times, alphas, bs)
         value = 1.0 - failures.sum(axis=0)
         if clip:
-            value = np.clip(value, 0.0, 1.0)
+            # np.minimum(np.maximum(...)) is np.clip without its Python wrapper.
+            value = np.minimum(np.maximum(value, 0.0), 1.0)
         return float(value[0]) if scalar else value
 
-    def failure_probability(self, times: np.ndarray | float) -> np.ndarray:
+    def failure_probability(
+        self,
+        times: np.ndarray | float,
+        alphas: np.ndarray | None = None,
+        bs: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Ensemble chip failure probability ``1 - R_c(t)``."""
         times = np.asarray(times, dtype=float)
         scalar = times.ndim == 0
-        value = 1.0 - np.atleast_1d(self.reliability(times))
+        value = 1.0 - np.atleast_1d(self.reliability(times, alphas, bs))
         return float(value[0]) if scalar else value
 
 
@@ -216,7 +327,7 @@ class StFastAnalyzer(_EnsembleAnalyzerBase):
     Parameters
     ----------
     blocks:
-        Per-block BLOD + Weibull parameters.
+        Per-block BLOD + nominal Weibull parameters.
     l0:
         Sub-domains per integration dimension (the paper's ``l0 = 10``).
     tail:
@@ -227,6 +338,9 @@ class StFastAnalyzer(_EnsembleAnalyzerBase):
     include_residual_fluctuation:
         Fold the chi-square residual-sampling fluctuation of the BLOD
         variance into its surrogate (exact for single-grid blocks).
+    rule_tables:
+        The design's already built tables (:func:`block_rule_tables` of
+        these blocks' BLODs); ``None`` builds them from the knobs above.
     """
 
     def __init__(
@@ -236,125 +350,62 @@ class StFastAnalyzer(_EnsembleAnalyzerBase):
         tail: float = 1e-6,
         rule: str = "midpoint",
         include_residual_fluctuation: bool = True,
+        rule_tables: RuleTables | None = None,
     ) -> None:
-        if not blocks:
-            raise ConfigurationError("need at least one block")
-        if rule not in ("midpoint", "gauss"):
-            raise ConfigurationError(f"unknown rule {rule!r}")
-        self.blocks = list(blocks)
-        self.l0 = l0
-        blods = [block.blod for block in self.blocks]
-        with span("st_fast.rules", blocks=len(self.blocks), l0=l0, rule=rule):
-            if rule == "midpoint":
-                rules = midpoint_block_rules(
-                    blods, l0, tail, include_residual_fluctuation
-                )
-            else:
-                rules = [
-                    (
-                        gauss_hermite_rule(blod.u_dist(), n_points=max(l0, 8)),
-                        quantile_rule(
-                            blod.v_chi2_match(include_residual_fluctuation),
-                            n_points=max(l0, 8),
-                        ),
-                    )
-                    for blod in blods
-                ]
-        (
-            self._u_points,
-            self._u_weights,
-            self._v_points,
-            self._v_weights,
-        ) = pad_block_rules(rules)
-        self._log_areas = np.log([block.blod.area for block in self.blocks])
-        self._rule_nodes = sum(
-            u.points.size * v.points.size for u, v in rules
-        )
+        self._set_blocks(blocks)
+        if rule_tables is None:
+            blods = [block.blod for block in self.blocks]
+            rule_tables = block_rule_tables(
+                blods, l0, tail, rule, include_residual_fluctuation
+            )
+        self.rule_tables = rule_tables
 
-    def _block_expectations(self, times: np.ndarray) -> np.ndarray:
+    def _block_expectations(
+        self, times: np.ndarray, alphas: np.ndarray, bs: np.ndarray
+    ) -> np.ndarray:
         """All blocks' tensor-rule integrals in one fused evaluation."""
-        log_t_ratios = self._scaled_log_t_ratios(times)
-        metrics.inc("integration.subdomain_evals", times.size * self._rule_nodes)
-        return batched_rule_expectations(
-            log_t_ratios,
-            self._log_areas,
-            self._u_points,
-            self._u_weights,
-            self._v_points,
-            self._v_weights,
+        return self.rule_tables.expectations(
+            self._scaled_log_t_ratios(times, alphas, bs)
         )
 
 
 def sweep_reliabilities(
-    analyzers: list[StFastAnalyzer],
+    analyzer: StFastAnalyzer,
+    profiles: Sequence[tuple[np.ndarray, np.ndarray]],
     times_list: list[np.ndarray | float],
 ) -> list[np.ndarray] | None:
-    """Evaluate several same-design ``StFastAnalyzer`` grids in one kernel call.
+    """Evaluate one ``StFastAnalyzer`` at several operating points in one kernel call.
 
-    Used by the batch executor to fuse a temperature axis: the rule tables
-    of ``st_fast`` depend only on the BLODs (not temperature), so a sweep
-    over operating points of one design shares a single padded node table.
-    Each analyzer contributes its own ``b_j ln(t / alpha_j)`` profile (the
-    Weibull parameters DO depend on temperature) and the concatenated
-    profiles go through one :func:`sweep_rule_expectations` dispatch.
+    Used by the batch executor to fuse a temperature axis: each
+    ``(alphas, bs)`` profile contributes its own ``b_j ln(t / alpha_j)``
+    matrix over the analyzer's one rule table, and the concatenated
+    matrices go through one :func:`sweep_rule_expectations` dispatch.
 
-    Returns one clipped reliability array per analyzer — bitwise identical
-    to ``analyzer.reliability(times)`` — or ``None`` when fusion does not
-    apply (mismatched rule tables, or the fused kernel declines the
-    shape); callers must then fall back to per-analyzer calls.
+    Returns one clipped reliability array per profile — bitwise identical
+    to ``analyzer.reliability(times, alphas, bs)`` — or ``None`` when the
+    fused kernel declines the shape (or no profile is given); callers
+    must then fall back to per-profile calls.
     """
-    if not analyzers or len(analyzers) != len(times_list):
+    if not profiles or len(profiles) != len(times_list):
         return None
-    base = analyzers[0]
-    for analyzer in analyzers[1:]:
-        if not (
-            np.array_equal(analyzer._log_areas, base._log_areas)
-            and np.array_equal(analyzer._u_points, base._u_points)
-            and np.array_equal(analyzer._u_weights, base._u_weights)
-            and np.array_equal(analyzer._v_points, base._v_points)
-            and np.array_equal(analyzer._v_weights, base._v_weights)
-        ):
-            return None
     times_arrays = [
         np.atleast_1d(np.asarray(times, dtype=float)) for times in times_list
     ]
-    if len({times.size for times in times_arrays}) == 1:
-        # Equal-length axes (every bracketing rung, and uniform time
-        # grids): build all profiles in one broadcast.  Division, log and
-        # scale are elementwise ufuncs, so each slice is bitwise equal to
-        # the per-analyzer ``_scaled_log_t_ratios`` result.
-        times_mat = np.stack(times_arrays)  # (n_analyzers, n_times)
-        check_times(times_mat)
-        vectors = [analyzer._weibull_vectors() for analyzer in analyzers]
-        alphas_mat = np.stack([alphas for alphas, _ in vectors])
-        bs_mat = np.stack([bs for _, bs in vectors])
-        with np.errstate(divide="ignore"):
-            ratios = np.where(
-                times_mat[:, None, :] > 0.0,
-                np.log(times_mat[:, None, :] / alphas_mat[:, :, None]),
-                -np.inf,
-            )
-        stacked = bs_mat[:, :, None] * ratios
-        profiles = [stacked[i] for i in range(len(analyzers))]
-    else:
-        profiles = [
-            analyzer._scaled_log_t_ratios(times)
-            for analyzer, times in zip(analyzers, times_arrays, strict=True)
-        ]
     fused = sweep_rule_expectations(
-        profiles,
-        base._log_areas,
-        base._u_points,
-        base._u_weights,
-        base._v_points,
-        base._v_weights,
+        [
+            analyzer._scaled_log_t_ratios(
+                times, *analyzer._weibull_params(alphas, bs)
+            )
+            for times, (alphas, bs) in zip(times_arrays, profiles, strict=True)
+        ],
+        *analyzer.rule_tables.arrays,
     )
     if fused is None:
         return None
-    for analyzer, times in zip(analyzers, times_arrays, strict=True):
-        metrics.inc(
-            "integration.subdomain_evals", times.size * analyzer._rule_nodes
-        )
+    metrics.inc(
+        "integration.subdomain_evals",
+        sum(times.size for times in times_arrays) * analyzer.rule_tables.rule_nodes,
+    )
     out: list[np.ndarray] = []
     for expectation in fused:
         failures = 1.0 - expectation
@@ -390,7 +441,7 @@ def _draw_factors(
 
 
 def _st_mc_shard_task(
-    blocks: tuple[BlockReliability, ...],
+    blods: tuple[BlodModel, ...],
     include_residual_noise: bool,
     shard: Shard,
 ) -> dict[str, np.ndarray]:
@@ -401,14 +452,83 @@ def _st_mc_shard_task(
     stream.
     """
     rng = shard.rng()
-    n_factors = blocks[0].blod.n_factors
-    factors = rng.standard_normal((shard.size, n_factors))
+    factors = rng.standard_normal((shard.size, blods[0].n_factors))
     payload: dict[str, np.ndarray] = {}
     noise_rng = rng if include_residual_noise else None
-    for j, block in enumerate(blocks):
-        payload[f"u{j}"] = block.blod.u_samples(factors)
-        payload[f"v{j}"] = block.blod.v_samples(factors, rng=noise_rng)
+    for j, blod in enumerate(blods):
+        payload[f"u{j}"] = blod.u_samples(factors)
+        payload[f"v{j}"] = blod.v_samples(factors, rng=noise_rng)
     return payload
+
+
+def draw_sample_cloud(
+    blods: Sequence[BlodModel],
+    n_samples: int = 20000,
+    seed: int | None = 0,
+    rng: np.random.Generator | None = None,
+    include_residual_noise: bool = True,
+    sampler: str = "mc",
+    backend: ExecBackend | None = None,
+    shard_size: int = DEFAULT_SHARD_SIZE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The st_mc ``(u, v)`` sample cloud of ``blods`` (see :class:`StMcAnalyzer`).
+
+    Each is ``(n_blocks, n_samples)`` over one shared factor draw.  The
+    ``"mc"`` sampler's seed shards make it bit-identical for any backend
+    and worker count (given the same seed and ``shard_size``).
+    """
+    if sampler not in ("mc", "lhs", "sobol"):
+        raise ConfigurationError(f"unknown sampler {sampler!r}")
+    if n_samples < 100:
+        raise ConfigurationError(f"n_samples must be >= 100, got {n_samples}")
+    if shard_size < 1:
+        raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
+    n_factors = blods[0].n_factors
+    if any(blod.n_factors != n_factors for blod in blods):
+        raise ConfigurationError("all blocks must share one factor space")
+    with span(
+        "st_mc.sample",
+        samples=n_samples,
+        factors=n_factors,
+        sampler=sampler,
+    ):
+        if sampler == "mc":
+            if rng is not None:
+                root = resolve_seed_sequence(rng)
+            elif seed is None:
+                root = np.random.SeedSequence()
+            else:
+                root = resolve_seed_sequence(seed)
+            shards = plan_shards(n_samples, root, shard_size)
+            exec_backend = backend if backend is not None else resolve_backend()
+            # One task per worker: a process backend pickles the BLODs into
+            # every task, and grouping shards never changes the cloud.
+            payloads = run_sharded(
+                exec_backend,
+                partial(_st_mc_shard_task, tuple(blods), include_residual_noise),
+                shards,
+                shards_per_task=math.ceil(len(shards) / exec_backend.jobs),
+            )
+            u, v = (
+                np.stack(
+                    [
+                        np.concatenate(
+                            [payloads[s.index][f"{moment}{j}"] for s in shards]
+                        )
+                        for j in range(len(blods))
+                    ]
+                )
+                for moment in ("u", "v")
+            )
+        else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            factors = _draw_factors(sampler, n_samples, n_factors, rng)
+            u = np.stack([blod.u_samples(factors) for blod in blods])
+            noise_rng = rng if include_residual_noise else None
+            v = np.stack([blod.v_samples(factors, rng=noise_rng) for blod in blods])
+        metrics.inc("st_mc.factor_draws", n_samples)
+    return u, v
 
 
 class StMcAnalyzer(_EnsembleAnalyzerBase):
@@ -423,7 +543,7 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
     Parameters
     ----------
     blocks:
-        Per-block BLOD + Weibull parameters.
+        Per-block BLOD + nominal Weibull parameters.
     n_samples:
         Monte-Carlo draws of the principal-component vector.
     seed:
@@ -446,6 +566,9 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
     shard_size:
         Samples per seed shard for the ``"mc"`` sampler (part of the
         deterministic stream definition, like the MC engines').
+    cloud:
+        The design's already drawn ``(u, v)`` cloud (:func:`draw_sample_cloud`
+        of these blocks' BLODs); ``None`` draws it with the knobs above.
     """
 
     def __init__(
@@ -460,99 +583,30 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
         sampler: str = "mc",
         backend: ExecBackend | None = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
+        cloud: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        if not blocks:
-            raise ConfigurationError("need at least one block")
+        self._set_blocks(blocks)
         if estimator not in ("samples", "histogram"):
             raise ConfigurationError(f"unknown estimator {estimator!r}")
-        if sampler not in ("mc", "lhs", "sobol"):
-            raise ConfigurationError(f"unknown sampler {sampler!r}")
-        if n_samples < 100:
-            raise ConfigurationError(f"n_samples must be >= 100, got {n_samples}")
-        if shard_size < 1:
-            raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
-        n_factors = blocks[0].blod.n_factors
-        if any(block.blod.n_factors != n_factors for block in blocks):
-            raise ConfigurationError("all blocks must share one factor space")
-        self.blocks = list(blocks)
         self.estimator = estimator
         self.bins = bins
-        with span(
-            "st_mc.sample",
-            samples=n_samples,
-            factors=n_factors,
-            sampler=sampler,
-        ):
-            if sampler == "mc":
-                self._sample_sharded(
-                    n_samples, seed, rng, include_residual_noise,
-                    backend, shard_size,
-                )
-            else:
-                if rng is None:
-                    rng = np.random.default_rng(seed)
-                factors = _draw_factors(sampler, n_samples, n_factors, rng)
-                self._u_samples = [
-                    b.blod.u_samples(factors) for b in self.blocks
-                ]
-                noise_rng = rng if include_residual_noise else None
-                self._v_samples = [
-                    b.blod.v_samples(factors, rng=noise_rng)
-                    for b in self.blocks
-                ]
-            metrics.inc("st_mc.factor_draws", n_samples)
-
-    def _sample_sharded(
-        self,
-        n_samples: int,
-        seed: int | None,
-        rng: np.random.Generator | None,
-        include_residual_noise: bool,
-        backend: ExecBackend | None,
-        shard_size: int,
-    ) -> None:
-        """Draw the (u, v) sample clouds in deterministic seed shards.
-
-        Shards are submitted to the execution backend and concatenated in
-        shard-index order, so the cloud is bit-identical for any backend
-        and worker count (given the same seed and ``shard_size``).
-        """
-        if rng is not None:
-            root = resolve_seed_sequence(rng)
-        elif seed is None:
-            root = np.random.SeedSequence()
-        else:
-            root = resolve_seed_sequence(seed)
-        shards = plan_shards(n_samples, root, shard_size)
-        exec_backend = backend if backend is not None else resolve_backend()
-        # One task per worker: a process backend pickles the blocks into
-        # every task, and grouping shards never changes the cloud.
-        payloads = run_sharded(
-            exec_backend,
-            partial(
-                _st_mc_shard_task, tuple(self.blocks), include_residual_noise
-            ),
-            shards,
-            shards_per_task=math.ceil(len(shards) / exec_backend.jobs),
-        )
-        self._u_samples = [
-            np.concatenate(
-                [payloads[s.index][f"u{j}"] for s in shards]
+        if cloud is None:
+            blods = [block.blod for block in self.blocks]
+            cloud = draw_sample_cloud(
+                blods, n_samples, seed, rng, include_residual_noise, sampler,
+                backend, shard_size,
             )
-            for j in range(len(self.blocks))
-        ]
-        self._v_samples = [
-            np.concatenate(
-                [payloads[s.index][f"v{j}"] for s in shards]
-            )
-            for j in range(len(self.blocks))
-        ]
+        self.cloud = cloud
+        self._log_areas = np.log([block.blod.area for block in self.blocks])
 
     def block_moment_samples(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """The (u, v) sample cloud of one block (diagnostics, Fig. 6/7)."""
-        return self._u_samples[index], self._v_samples[index]
+        u, v = self.cloud
+        return u[index], v[index]
 
-    def _block_expectations(self, times: np.ndarray) -> np.ndarray:
+    def _block_expectations(
+        self, times: np.ndarray, alphas: np.ndarray, bs: np.ndarray
+    ) -> np.ndarray:
         """Sample-average or histogram-integrated block expectations.
 
         The ``"samples"`` estimator runs one fused kernel over all blocks;
@@ -562,53 +616,25 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
         if self.estimator == "histogram":
             return np.stack(
                 [
-                    self._histogram_expectation(j, times)
+                    self._histogram_expectation(j, times, alphas[j], bs[j])
                     for j in range(len(self.blocks))
                 ]
             )
-        if not hasattr(self, "_u_stack"):
-            # Blocks share one factor draw, so the clouds stack rectangular.
-            self._u_stack = np.vstack(self._u_samples)
-            self._v_stack = np.vstack(self._v_samples)
-            self._log_areas = np.log(
-                [block.blod.area for block in self.blocks]
-            )
         return batched_sample_expectations(
-            self._scaled_log_t_ratios(times),
-            self._log_areas,
-            self._u_stack,
-            self._v_stack,
+            self._scaled_log_t_ratios(times, alphas, bs), self._log_areas, *self.cloud
         )
 
-    def _histogram_expectation(self, index: int, times: np.ndarray) -> np.ndarray:
+    def _histogram_expectation(
+        self, index: int, times: np.ndarray, alpha: float, b: float
+    ) -> np.ndarray:
         """One block's expectation over its 2-D histogram joint PDF."""
-        block = self.blocks[index]
-        u = self._u_samples[index]
-        v = self._v_samples[index]
-        log_t_ratio = safe_log_t_ratio(times, block.alpha)
+        u, v = self.block_moment_samples(index)
+        log_t_ratio = safe_log_t_ratio(times, alpha)
         counts, u_edges, v_edges = np.histogram2d(u, v, bins=self.bins)
         probabilities = counts / counts.sum()
         u_mid = 0.5 * (u_edges[:-1] + u_edges[1:])
         v_mid = 0.5 * (v_edges[:-1] + v_edges[1:])
         survival = _survival_on_grid(
-            log_t_ratio, block.b, block.blod.area, u_mid, v_mid
+            log_t_ratio, b, self.blocks[index].blod.area, u_mid, v_mid
         )
         return np.einsum("tpq,pq->t", survival, probabilities)
-
-
-def worst_case_blocks(
-    blocks: list[BlockReliability],
-) -> list[BlockReliability]:
-    """Temperature-unaware variant: every block gets the worst parameters.
-
-    The hottest block has the smallest ``alpha``; its ``(alpha, b)`` pair is
-    applied chip-wide, reproducing the "temperature-unaware approach by
-    using the worst-case temperature across the chip" of Fig. 10.
-    """
-    if not blocks:
-        raise ConfigurationError("need at least one block")
-    worst = min(blocks, key=lambda block: block.alpha)
-    return [
-        BlockReliability(blod=block.blod, alpha=worst.alpha, b=worst.b)
-        for block in blocks
-    ]

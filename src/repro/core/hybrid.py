@@ -31,8 +31,9 @@ import numpy as np
 from repro.core.closed_form import check_times
 from repro.core.ensemble import (
     BlockReliability,
-    midpoint_block_rules,
-    pad_block_rules,
+    RuleTables,
+    _EnsembleAnalyzerBase,
+    block_rule_tables,
 )
 from repro.errors import ConfigurationError
 from repro.kernels.survival import batched_rule_expectations
@@ -59,7 +60,7 @@ class _ProfileStencil(NamedTuple):
     corners: np.ndarray
 
 
-class HybridAnalyzer:
+class HybridAnalyzer(_EnsembleAnalyzerBase):
     """Pre-tabulated per-block expectations with bilinear interpolation.
 
     Table columns fill on demand (thread-safe; :attr:`tables` fills them
@@ -86,6 +87,9 @@ class HybridAnalyzer:
         Integration rule parameters (same midpoint rule as st_fast).
     include_residual_fluctuation:
         See :class:`repro.core.ensemble.StFastAnalyzer`.
+    rule_tables:
+        The design's midpoint :class:`~repro.core.ensemble.RuleTables`;
+        ``None`` builds them from the knobs above at the first fill.
     """
 
     def __init__(
@@ -98,6 +102,7 @@ class HybridAnalyzer:
         l0: int = 10,
         tail: float = 1e-6,
         include_residual_fluctuation: bool = True,
+        rule_tables: RuleTables | None = None,
     ) -> None:
         if not blocks:
             raise ConfigurationError("need at least one block")
@@ -118,6 +123,7 @@ class HybridAnalyzer:
             blocks, np.linspace(lo, hi, n_alpha), np.linspace(b_lo, b_hi, n_b)
         )
         self._rule_knobs = (l0, tail, include_residual_fluctuation)
+        self.rule_tables = rule_tables
 
     def _init_state(
         self,
@@ -126,7 +132,7 @@ class HybridAnalyzer:
         b_axis: np.ndarray,
     ) -> None:
         """Axes plus an empty table whose b-columns fill on demand."""
-        self.blocks = list(blocks)
+        self._set_blocks(blocks)
         self.log_t_axis = log_t_axis
         self.b_axis = b_axis
         self._tables = np.empty((len(self.blocks), log_t_axis.size, b_axis.size))
@@ -135,11 +141,7 @@ class HybridAnalyzer:
         # cells with lower b index c can be read without the lock.
         self._ready = np.zeros(b_axis.size - 1, dtype=bool)
         self._lock = threading.Lock()
-        self._kernel_inputs: tuple[np.ndarray, ...] | None = None
-        self._nominal = (
-            np.array([block.alpha for block in self.blocks]),
-            np.array([block.b for block in self.blocks]),
-        )
+        self.rule_tables: RuleTables | None = None
         self._rows = np.arange(len(self.blocks))[:, None]
         self._log_t_steps = np.diff(log_t_axis)
         # The last profile's stencil, replaced by one assignment of an
@@ -228,24 +230,18 @@ class HybridAnalyzer:
                 n_alpha=n_alpha,
                 columns=missing.size,
             ):
-                if self._kernel_inputs is None:
+                if self.rule_tables is None:
                     l0, tail, include_residual_fluctuation = self._rule_knobs
-                    tables = pad_block_rules(
-                        midpoint_block_rules(
-                            [block.blod for block in self.blocks],
-                            l0,
-                            tail,
-                            include_residual_fluctuation,
-                        )
+                    blods = [block.blod for block in self.blocks]
+                    self.rule_tables = block_rule_tables(
+                        blods, l0, tail, "midpoint", include_residual_fluctuation
                     )
-                    log_areas = np.log([block.blod.area for block in self.blocks])
-                    self._kernel_inputs = (log_areas, *tables)
                 scaled = self.log_t_axis[:, None] * self.b_axis[None, missing]
                 flat = np.broadcast_to(
                     scaled.reshape(1, -1), (n_blocks, scaled.size)
                 )
                 expectation = batched_rule_expectations(
-                    flat, *self._kernel_inputs
+                    flat, *self.rule_tables.arrays
                 )
                 failure = np.clip(1.0 - expectation, 1e-300, None)
                 self._tables[:, :, missing] = np.log(failure).reshape(
@@ -368,18 +364,6 @@ class HybridAnalyzer:
             metrics.inc("hybrid.lut_misses", n_miss)
         return np.where(missed, 0.0, np.exp(log_value))
 
-    def _check_override(self, name: str, values: np.ndarray) -> None:
-        """Check a per-block ``alpha`` or ``b`` override: finite and positive."""
-        if values.shape != (len(self.blocks),):
-            raise ConfigurationError("need one (alpha, b) pair per block")
-        # NaN fails both comparisons.
-        if not (values.min() > 0.0 and values.max() < np.inf):
-            bad = int(np.argmin((values > 0.0) & (values < np.inf)))
-            raise ConfigurationError(
-                f"block {self.blocks[bad].name!r}: {name} must be finite "
-                f"and positive, got {values[bad]}"
-            )
-
     def block_failure_probabilities(
         self,
         times: np.ndarray | float,
@@ -400,31 +384,3 @@ class HybridAnalyzer:
                 times > 0.0, np.log(times / alphas[:, None]), -np.inf
             )
         return self._interpolate_batched(log_t_ratios, stencil)
-
-    def reliability(
-        self,
-        times: np.ndarray | float,
-        alphas: np.ndarray | None = None,
-        bs: np.ndarray | None = None,
-        clip: bool = True,
-    ) -> np.ndarray:
-        """Ensemble chip reliability via table look-up (eq. (18) combine)."""
-        times_arr = np.asarray(times, dtype=float)
-        scalar = times_arr.ndim == 0
-        failures = self.block_failure_probabilities(times_arr, alphas, bs)
-        value = 1.0 - failures.sum(axis=0)
-        if clip:
-            value = np.minimum(np.maximum(value, 0.0), 1.0)
-        return float(value[0]) if scalar else value
-
-    def failure_probability(
-        self,
-        times: np.ndarray | float,
-        alphas: np.ndarray | None = None,
-        bs: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``1 - R_c(t)`` via table look-up."""
-        times_arr = np.asarray(times, dtype=float)
-        scalar = times_arr.ndim == 0
-        value = 1.0 - np.atleast_1d(self.reliability(times_arr, alphas, bs))
-        return float(value[0]) if scalar else value

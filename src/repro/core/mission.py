@@ -21,8 +21,9 @@ profiles), so the per-block effective slope is the time-weighted mean —
 the one approximation of this module, quantified in the tests.
 
 With effective ``(alpha_eff, b_eff)`` per block the whole closed-form
-machinery of the paper applies unchanged; a mission analysis costs exactly
-one st_fast evaluation.
+machinery of the paper applies unchanged: a mission analysis is the
+design's st_fast evaluated at the effective vectors, one st_fast
+evaluation on the design's own rule tables.
 
 The effective-age math itself lives in :mod:`repro.scenario.effective`
 (one home, shared with the ordered-phase scenario engine);
@@ -37,11 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.analyzer import ReliabilityAnalyzer
-from repro.core.ensemble import BlockReliability
+from repro.core.ensemble import (
+    BlockReliability,
+    RuleTables,
+    StFastAnalyzer,
+    block_rule_tables,
+)
 from repro.core.lifetime import ppm_to_reliability, solve_lifetime
 from repro.errors import ConfigurationError
 from repro.scenario.effective import (  # noqa: F401  (re-export)
-    collapse_to_st_fast,
     effective_block_params,
     phase_dose_shares,
 )
@@ -127,8 +132,9 @@ class MissionProfile:
 class MissionAnalyzer:
     """Ensemble reliability under a mission profile (cumulative exposure).
 
-    Thin wrapper over :class:`StFastAnalyzer` at the per-block effective
-    conditions; also reports each phase's share of the accumulated damage.
+    st_fast at the per-block effective ``(alpha_eff, b_eff)``, on the
+    design's ``rule_tables`` (``None``: midpoint tables from ``l0``/``tail``);
+    also reports each phase's share of the accumulated damage.
     """
 
     def __init__(
@@ -140,6 +146,7 @@ class MissionAnalyzer:
         l0: int = 10,
         tail: float = 1e-6,
         include_residual_fluctuation: bool = True,
+        rule_tables: RuleTables | None = None,
     ) -> None:
         self.profile = profile
         self.alphas = np.asarray(alphas, dtype=float)
@@ -149,25 +156,28 @@ class MissionAnalyzer:
                 f"alphas must be (n_phases, {len(blocks)}), "
                 f"got {self.alphas.shape}"
             )
-        self.effective_blocks, self._analyzer = collapse_to_st_fast(
-            blocks,
-            profile.fractions,
-            self.alphas,
-            self.bs,
-            l0=l0,
-            tail=tail,
+        self.alpha_eff, self.b_eff = effective_block_params(
+            profile.fractions, self.alphas, self.bs
+        )
+        self._analyzer = StFastAnalyzer(
+            blocks, l0, tail,
             include_residual_fluctuation=include_residual_fluctuation,
+            rule_tables=rule_tables,
         )
 
     def reliability(
         self, times: np.ndarray | float, clip: bool = True
     ) -> np.ndarray | float:
         """Ensemble chip reliability under the mission profile."""
-        return self._analyzer.reliability(times, clip=clip)
+        return self._analyzer.reliability(
+            times, self.alpha_eff, self.b_eff, clip=clip
+        )
 
     def failure_probability(self, times: np.ndarray | float) -> np.ndarray | float:
         """``1 - R(t)`` under the mission profile."""
-        return self._analyzer.failure_probability(times)
+        return self._analyzer.failure_probability(
+            times, self.alpha_eff, self.b_eff
+        )
 
     def lifetime(self, ppm: float, t_guess: float = 1e5) -> float:
         """Mission lifetime at an n-per-million criterion."""
@@ -198,7 +208,8 @@ def mission_analyzer(
     Each phase's per-block ``(alpha, b)`` comes from the design's OBD
     model at the phase's temperatures and voltage; the BLODs (process
     variation) are shared across phases — thickness does not change with
-    the workload.
+    the workload.  The mission reads the design's st_fast rule tables; an
+    ``l0`` other than the design's builds its own, under the same rule.
     """
     n_blocks = analyzer.floorplan.n_blocks
     alphas = np.empty((profile.n_phases, n_blocks))
@@ -208,12 +219,17 @@ def mission_analyzer(
         params = analyzer.obd_model.block_params(temps, phase.vdd)
         alphas[p] = [prm.alpha for prm in params]
         bs[p] = [prm.b for prm in params]
+    cfg = analyzer.config
+    rule_tables = analyzer.design.st_fast_tables
+    if l0 is not None and l0 != cfg.l0:
+        rule_tables = block_rule_tables(
+            analyzer.blods, l0, cfg.tail, cfg.integration_rule,
+            cfg.include_residual_fluctuation,
+        )
     return MissionAnalyzer(
         blocks=analyzer.blocks,
         profile=profile,
         alphas=alphas,
         bs=bs,
-        l0=l0 if l0 is not None else analyzer.config.l0,
-        tail=analyzer.config.tail,
-        include_residual_fluctuation=analyzer.config.include_residual_fluctuation,
+        rule_tables=rule_tables,
     )

@@ -52,15 +52,20 @@ def _rebuilt_lifetime(
     parameter: str,
     value: float,
 ) -> float:
-    """Lifetime with one parameter replaced (analysis rebuilt as needed)."""
-    budget = analyzer.budget
-    config = analyzer.config
+    """Lifetime with one parameter replaced.
+
+    ``vdd`` and ``temperature_margin`` only move the operating point
+    (:meth:`ReliabilityAnalyzer.at`); the process parameters change the
+    design, which is rebuilt.
+    """
     temps = analyzer.block_temperatures
     if parameter == "vdd":
-        config = dataclasses.replace(config, vdd=value)
-    elif parameter == "temperature_margin":
-        temps = temps + value
-    elif parameter == "three_sigma_ratio":
+        return analyzer.at(temps, vdd=value).lifetime(ppm, method="st_fast")
+    if parameter == "temperature_margin":
+        return analyzer.at(temps + value).lifetime(ppm, method="st_fast")
+    budget = analyzer.budget
+    config = analyzer.config
+    if parameter == "three_sigma_ratio":
         budget = dataclasses.replace(budget, three_sigma_ratio=value)
     elif parameter == "global_fraction":
         # Move variance between the global and independent components,

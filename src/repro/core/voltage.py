@@ -11,7 +11,6 @@ delay model.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +49,11 @@ def max_vdd_for_target(
 ) -> VoltageScreeningResult:
     """Largest Vdd whose ``ppm`` lifetime still meets ``target_hours``.
 
-    Rebuilds the analysis at each probed voltage (temperatures are held at
-    the prepared analyzer's profile — voltage-dependent self-heating can
-    be layered on by the caller via explicit block temperatures).
+    Each probed voltage is an operating point of the prepared analysis
+    (:meth:`ReliabilityAnalyzer.at`): the design model is reused, and
+    temperatures are held at the analyzer's profile — voltage-dependent
+    self-heating can be layered on by the caller via explicit block
+    temperatures.
 
     Raises
     ------
@@ -67,13 +68,7 @@ def max_vdd_for_target(
         raise ConfigurationError("vdd_range must be positive and increasing")
 
     def margin(vdd: float) -> float:
-        probe = ReliabilityAnalyzer(
-            analyzer.floorplan,
-            budget=analyzer.budget,
-            obd_model=analyzer.obd_model,
-            config=dataclasses.replace(analyzer.config, vdd=vdd),
-            block_temperatures=analyzer.block_temperatures,
-        )
+        probe = analyzer.at(analyzer.block_temperatures, vdd=vdd)
         return probe.lifetime(ppm, method=method) - target_hours
 
     if margin(lo) < 0.0:

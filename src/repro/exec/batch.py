@@ -13,14 +13,14 @@ This module is imported lazily by the CLI so that the rest of
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.chip.benchmarks import BENCHMARK_DEVICE_COUNTS, make_benchmark
 from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
-from repro.core.ensemble import sweep_reliabilities
+from repro.core.ensemble import StFastAnalyzer, sweep_reliabilities
 from repro.core.lifetime import ppm_to_reliability, solve_lifetime
 from repro.errors import ConfigurationError
 from repro.exec.backends import ExecBackend
@@ -134,40 +134,6 @@ class _CellResult:
         }
 
 
-@dataclass
-class _AnalyzerPool:
-    """Build each (design, temperature) analyzer once per sweep."""
-
-    spec: SweepSpec
-    backend: ExecBackend | None
-    _made: dict[tuple[str, float | None], ReliabilityAnalyzer] = field(
-        default_factory=dict
-    )
-
-    def get(
-        self, design: str, temperature_c: float | None
-    ) -> ReliabilityAnalyzer:
-        key = (design, temperature_c)
-        if key not in self._made:
-            floorplan = make_benchmark(design)
-            config = AnalysisConfig(
-                grid_size=self.spec.grid_size,
-                exec_backend=self.backend.name if self.backend else None,
-                exec_jobs=self.backend.jobs if self.backend else None,
-            )
-            block_temperatures = None
-            if temperature_c is not None:
-                block_temperatures = np.full(
-                    floorplan.n_blocks, float(temperature_c)
-                )
-            self._made[key] = ReliabilityAnalyzer(
-                floorplan,
-                config=config,
-                block_temperatures=block_temperatures,
-            )
-        return self._made[key]
-
-
 def _cell_key(spec: SweepSpec, cell: dict[str, Any]) -> str:
     """Content-address of one cell: spec knobs + cell coordinates."""
     document = {
@@ -185,46 +151,42 @@ def _cell_key(spec: SweepSpec, cell: dict[str, Any]) -> str:
     return fingerprint(document)
 
 
-# Methods whose reliability evaluation reduces to one StFastAnalyzer whose
-# rule tables are temperature-independent, so a temperature axis can share
-# a single fused kernel dispatch per bracketing rung.
+# Methods whose reliability evaluation is the design's one StFastAnalyzer at
+# a per-temperature (alphas, bs) profile, so a temperature axis can share a
+# single fused kernel dispatch per bracketing rung.
 _FUSABLE_METHODS = frozenset({"st_fast", "temp_unaware"})
 
 
 def _fused_group_lifetimes(
-    pool: _AnalyzerPool,
-    spec: SweepSpec,
-    design: str,
+    analyzer: StFastAnalyzer,
+    profiles: list[tuple[np.ndarray, np.ndarray]],
+    guesses: list[float],
+    ppm: float,
     method: str,
-    temps: list[float],
-) -> dict[float, float]:
+) -> list[float] | None:
     """Solve one design/method's lifetimes across a temperature axis fused.
 
-    Replays :func:`repro.core.lifetime.solve_lifetime`'s geometric
-    bracketing ladder lock-step for every temperature, evaluating each
-    rung's candidate times for all still-unbracketed temperatures through
-    one :func:`sweep_reliabilities` kernel call and memoizing the
+    ``profiles`` holds each temperature's ``(alphas, bs)`` and ``guesses``
+    its guard-band seed.  Replays :func:`repro.core.lifetime.solve_lifetime`'s
+    geometric bracketing ladder lock-step for every temperature, evaluating
+    each rung's candidate times for all still-unbracketed temperatures
+    through one :func:`sweep_reliabilities` kernel call and memoizing the
     ``t -> R(t)`` pairs.  The per-temperature :func:`solve_lifetime` then
     re-walks its ladder entirely from the memo (bitwise-identical floats,
     since the rung times are produced by the same sequence of operations)
     and only Brent's interior probes fall through to the ordinary
     per-point evaluation — so the returned lifetimes are bit-identical to
-    the unfused path.  Returns whatever subset it could fuse (empty when
-    the kernel declines); missing temps fall back to per-cell evaluation.
+    the unfused path.  ``None`` means the kernel declined the first rung.
     """
-    analyzers = [pool.get(design, temp) for temp in temps]
-    subs = [
-        analyzer.st_fast if method == "st_fast" else analyzer.temp_unaware
-        for analyzer in analyzers
-    ]
-    target = ppm_to_reliability(spec.ppm)
-    guesses = [analyzer.guard.lifetime(target) for analyzer in analyzers]
-    memos: list[dict[float, float]] = [{} for _ in temps]
+    target = ppm_to_reliability(ppm)
+    memos: list[dict[float, float]] = [{} for _ in profiles]
 
     def evaluate(indices: list[int], log_ts: list[float]) -> bool:
         """One fused rung: memoize R(exp(log_t)) for each active temp."""
         times = [float(np.exp(log_t)) for log_t in log_ts]
-        values = sweep_reliabilities([subs[i] for i in indices], times)
+        values = sweep_reliabilities(
+            analyzer, [profiles[i] for i in indices], times
+        )
         if values is None:
             return False
         for i, t, value in zip(indices, times, values, strict=True):
@@ -237,10 +199,10 @@ def _fused_group_lifetimes(
     step = np.log(4.0)
     los = [float(np.log(guess)) for guess in guesses]
     his = list(los)
-    if not evaluate(list(range(len(temps))), los):
-        return {}
+    if not evaluate(list(range(len(profiles))), los):
+        return None
     climbing: list[tuple[int, bool]] = []
-    for i in range(len(temps)):
+    for i in range(len(profiles)):
         value = memos[i][float(np.exp(los[i]))] - target
         if value != 0.0:  # reprolint: disable=RPL005 (mirrors solve_lifetime's exact-root check)
             climbing.append((i, value > 0.0))
@@ -268,23 +230,22 @@ def _fused_group_lifetimes(
                 still.append((i, upward))
         climbing = still
 
-    lifetimes: dict[float, float] = {}
-    for temp, analyzer, guess, memo in zip(
-        temps, analyzers, guesses, memos, strict=True
-    ):
+    lifetimes: list[float] = []
+    for (alphas, bs), guess, memo in zip(profiles, guesses, memos, strict=True):
         def reliability_fn(
             t: float,
             _memo: dict[float, float] = memo,
-            _analyzer: ReliabilityAnalyzer = analyzer,
+            _alphas: np.ndarray = alphas,
+            _bs: np.ndarray = bs,
         ) -> float:
             hit = _memo.get(t)
             if hit is not None:
                 return hit
-            return float(_analyzer.reliability(t, method=method))
+            return float(analyzer.reliability(t, _alphas, _bs))
 
-        with span("analyzer.lifetime", method=method, ppm=spec.ppm):
-            lifetimes[temp] = solve_lifetime(
-                reliability_fn, target, t_guess=guess
+        with span("analyzer.lifetime", method=method, ppm=ppm):
+            lifetimes.append(
+                solve_lifetime(reliability_fn, target, t_guess=guess)
             )
     metrics.inc("exec.batch.fused_cells", len(lifetimes))
     return lifetimes
@@ -302,14 +263,40 @@ def run_batch(
     (``exec.cache.hit``); fresh results are stored on the way out.  The MC
     reference method runs through ``backend`` when one is given.
 
-    The temperature axis of ``st_fast`` / ``temp_unaware`` cells is
-    evaluated through one fused kernel dispatch per design and bracketing
-    rung (bit-identical results; see :func:`_fused_group_lifetimes`);
-    other methods fall back transparently to per-cell evaluation.
+    Each design gets one analyzer; its other temperatures are operating
+    points of it (:meth:`ReliabilityAnalyzer.at`).  The temperature axis of
+    ``st_fast`` / ``temp_unaware`` cells is evaluated through one fused
+    kernel dispatch per design and bracketing rung (bit-identical results;
+    see :func:`_fused_group_lifetimes`); other methods fall back
+    transparently to per-cell evaluation.
     """
     if use_cache and cache is None:
         cache = ResultCache()
-    pool = _AnalyzerPool(spec, backend)
+    config = AnalysisConfig(
+        grid_size=spec.grid_size,
+        exec_backend=backend.name if backend else None,
+        exec_jobs=backend.jobs if backend else None,
+    )
+    designs: dict[str, ReliabilityAnalyzer] = {}
+    points: dict[tuple[str, float | None], ReliabilityAnalyzer] = {}
+
+    def analyzer_at(design: str, temperature_c: float | None) -> ReliabilityAnalyzer:
+        """The design's analyzer at one uniform temperature (``None``: its own)."""
+        key = (design, temperature_c)
+        if key not in points:
+            base = designs.get(design)
+            floorplan = base.floorplan if base is not None else make_benchmark(design)
+            temps = None
+            if temperature_c is not None:
+                temps = np.full(floorplan.n_blocks, float(temperature_c))
+            if base is None:
+                points[key] = designs[design] = ReliabilityAnalyzer(
+                    floorplan, config=config, block_temperatures=temps
+                )
+            else:
+                points[key] = base.at(temps)
+        return points[key]
+
     results: list[_CellResult] = []
     fused: dict[tuple[str, float | None, str], float] = {}
     fused_attempted: set[tuple[str, str]] = set()
@@ -362,16 +349,32 @@ def run_batch(
                     ).exists()
                 ]
                 if len(missing) > 1:
+                    group_points = [
+                        analyzer_at(cell["design"], temp) for temp in missing
+                    ]
+                    target = ppm_to_reliability(spec.ppm)
                     solved = _fused_group_lifetimes(
-                        pool, spec, cell["design"], cell["method"], missing
+                        designs[cell["design"]].st_fast,
+                        [
+                            (point.alphas, point.bs)
+                            if cell["method"] == "st_fast"
+                            else point.worst_case
+                            for point in group_points
+                        ],
+                        [point.guard.lifetime(target) for point in group_points],
+                        spec.ppm,
+                        cell["method"],
                     )
-                    fused.update(
-                        {
-                            (cell["design"], temp, cell["method"]): value
-                            for temp, value in solved.items()
-                        }
-                    )
-            analyzer = pool.get(cell["design"], cell["temperature_c"])
+                    if solved is not None:
+                        fused.update(
+                            {
+                                (cell["design"], temp, cell["method"]): value
+                                for temp, value in zip(
+                                    missing, solved, strict=True
+                                )
+                            }
+                        )
+            analyzer = analyzer_at(cell["design"], cell["temperature_c"])
             fused_value = fused.pop(coords, None)
             if fused_value is not None:
                 lifetime = fused_value

@@ -8,11 +8,7 @@
   scenario against a prepared design analysis.
 """
 
-from repro.scenario.effective import (
-    collapse_to_st_fast,
-    effective_block_params,
-    phase_dose_shares,
-)
+from repro.scenario.effective import effective_block_params, phase_dose_shares
 from repro.scenario.engine import ScenarioAnalyzer, scenario_analyzer
 from repro.scenario.schedule import Scenario, StressPhase
 
@@ -20,7 +16,6 @@ __all__ = [
     "Scenario",
     "ScenarioAnalyzer",
     "StressPhase",
-    "collapse_to_st_fast",
     "effective_block_params",
     "phase_dose_shares",
     "scenario_analyzer",

@@ -25,14 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ensemble import BlockReliability, StFastAnalyzer
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "collapse_to_st_fast",
-    "effective_block_params",
-    "phase_dose_shares",
-]
+__all__ = ["effective_block_params", "phase_dose_shares"]
 
 
 def effective_block_params(
@@ -85,41 +80,3 @@ def phase_dose_shares(
     alphas = np.asarray(alphas, dtype=float)
     rates = fractions[:, None] / alphas
     return rates / rates.sum(axis=0, keepdims=True)
-
-
-def collapse_to_st_fast(
-    blocks: list[BlockReliability],
-    fractions: np.ndarray,
-    alphas: np.ndarray,
-    bs: np.ndarray,
-    l0: int = 10,
-    tail: float = 1e-6,
-    rule: str = "midpoint",
-    include_residual_fluctuation: bool = True,
-) -> tuple[list[BlockReliability], StFastAnalyzer]:
-    """Collapse a weighted phase mixture into one ``st_fast`` analyzer.
-
-    Builds the per-block effective ``(alpha, b)`` with
-    :func:`effective_block_params` (reusing each block's BLOD — the
-    process variation does not change with the workload) and wraps them
-    in a standard :class:`StFastAnalyzer`, so the whole closed-form
-    machinery of the paper applies unchanged: a mixture analysis costs
-    exactly one ``st_fast`` evaluation.
-    """
-    alpha_eff, b_eff = effective_block_params(fractions, alphas, bs)
-    if len(blocks) != alpha_eff.size:
-        raise ConfigurationError(
-            f"expected parameters for {len(blocks)} blocks, "
-            f"got {alpha_eff.size}"
-        )
-    effective_blocks = [
-        BlockReliability(blod=block.blod, alpha=float(a), b=float(b))
-        for block, a, b in zip(blocks, alpha_eff, b_eff, strict=True)
-    ]
-    return effective_blocks, StFastAnalyzer(
-        effective_blocks,
-        l0=l0,
-        tail=tail,
-        rule=rule,
-        include_residual_fluctuation=include_residual_fluctuation,
-    )

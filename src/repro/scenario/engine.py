@@ -14,7 +14,9 @@ evaluates a :class:`~repro.scenario.schedule.Scenario` against it:
    the host's BLODs — process variation does not change with the
    workload — and race in one first-order weakest-link sum (eq. (18)).
 3. Phases compose by cumulative-exposure effective-time accumulation
-   (:mod:`repro.scenario.effective`):
+   (:mod:`repro.scenario.effective`), and every composition evaluates
+   the host's st_fast rule tables, tiled once per mechanism, through one
+   fused kernel profile:
 
    - a single ordered phase evaluates the entries *directly* (their true
      ``(alpha, b)``), so an OBD-only steady scenario is bit-identical to
@@ -35,10 +37,8 @@ import numpy as np
 
 from repro.core.analyzer import ReliabilityAnalyzer
 from repro.core.closed_form import check_times
-from repro.core.ensemble import BlockReliability, StFastAnalyzer
 from repro.core.lifetime import ppm_to_reliability, solve_lifetime
 from repro.errors import ConfigurationError
-from repro.kernels.survival import batched_rule_expectations
 from repro.mechanisms import (
     FailureMechanism,
     MechanismContext,
@@ -47,7 +47,7 @@ from repro.mechanisms import (
 )
 from repro.obs import metrics
 from repro.obs.trace import span
-from repro.scenario.effective import collapse_to_st_fast, phase_dose_shares
+from repro.scenario.effective import effective_block_params, phase_dose_shares
 from repro.scenario.schedule import Scenario
 from repro.thermal.hotspot import HotSpotLite
 
@@ -148,20 +148,21 @@ class ScenarioAnalyzer:
                     ),
                     n_blocks,
                 )
-            self._entry_blods = [
-                host.blods[j] for _, j in self.entries
-            ]
+            # Entries are mechanism-major, so the host's tables tiled once
+            # per mechanism are every entry's tables.
+            self._tables = host.design.st_fast_tables.tile(
+                len(self._mechanisms)
+            )
             # Instances are immutable after construction (safe to share
-            # across service worker threads): _build_engine returns the
+            # across service worker threads): _composition returns the
             # evaluation state rather than mutating it in place.
             (
-                self._mode,
-                self._engine,
+                self._alpha_eff,
+                self._b_eff,
                 self._rates,
                 self._starts,
                 self._base_doses,
-                self._b_eff,
-            ) = self._build_engine()
+            ) = self._composition()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -194,69 +195,42 @@ class ScenarioAnalyzer:
             ).block_temperatures
         return host.block_temperatures
 
-    def _build_engine(
+    def _composition(
         self,
     ) -> tuple[
-        str,
-        StFastAnalyzer,
         np.ndarray | None,
+        np.ndarray,
         np.ndarray | None,
         np.ndarray | None,
         np.ndarray | None,
     ]:
-        """Pick the evaluation path the composition law calls for.
+        """``(alpha_eff, b_eff, rates, starts, base_doses)`` of the composition law.
 
-        Returns ``(mode, engine, rates, starts, base_doses, b_eff)``;
-        the dose-path arrays are ``None`` for the direct and residency
-        modes.
+        The direct and residency modes leave the dose arrays ``None``; the
+        dose mode has no ``alpha_eff`` (unit characteristic life).
         """
-        cfg = self.host.config
+        for name, values in (("alpha", self._alphas), ("b", self._bs)):
+            bad = ~((values > 0.0) & (values < np.inf))  # NaN is bad too
+            if bad.any():
+                p, e = np.argwhere(bad)[0]
+                mechanism, j = self.entries[e]
+                block = self.host.floorplan.block_names[j]
+                raise ConfigurationError(
+                    f"mechanism {mechanism!r}, block {block!r}: {name} must "
+                    f"be finite and positive, got {values[p, e]}"
+                )
         scenario = self.scenario
         if scenario.composition == "ordered" and scenario.n_phases == 1:
             # Single steady condition: evaluate the entries at their true
             # (alpha, b).  This is the exact same computation (and, for
             # the OBD-only case, the same floats) as the host's st_fast
             # path — no effective-age round trip to perturb the bits.
-            blocks = [
-                BlockReliability(
-                    blod=blod, alpha=float(a), b=float(b)
-                )
-                for blod, a, b in zip(
-                    self._entry_blods,
-                    self._alphas[0],
-                    self._bs[0],
-                    strict=True,
-                )
-            ]
-            engine = StFastAnalyzer(
-                blocks,
-                l0=cfg.l0,
-                tail=cfg.tail,
-                rule=cfg.integration_rule,
-                include_residual_fluctuation=cfg.include_residual_fluctuation,
-            )
-            return "direct", engine, None, None, None, None
+            return self._alphas[0], self._bs[0], None, None, None
         if scenario.composition == "residency":
-            template = [
-                BlockReliability(blod=blod, alpha=float(a), b=float(b))
-                for blod, a, b in zip(
-                    self._entry_blods,
-                    self._alphas[0],
-                    self._bs[0],
-                    strict=True,
-                )
-            ]
-            _, engine = collapse_to_st_fast(
-                template,
-                scenario.fractions,
-                self._alphas,
-                self._bs,
-                l0=cfg.l0,
-                tail=cfg.tail,
-                rule=cfg.integration_rule,
-                include_residual_fluctuation=cfg.include_residual_fluctuation,
+            alpha_eff, b_eff = effective_block_params(
+                scenario.fractions, self._alphas, self._bs
             )
-            return "residency", engine, None, None, None, None
+            return alpha_eff, b_eff, None, None, None
         # Ordered multi-phase: dose coordinates.  Each entry ages at rate
         # 1/alpha_{e,p}; the accumulated dose is piecewise linear in t and
         # the entry is evaluated at unit characteristic life with the
@@ -271,20 +245,7 @@ class ScenarioAnalyzer:
             ),
             axis=1,
         )
-        b_eff = self._bs[-1].copy()
-        engine = StFastAnalyzer(
-            [
-                BlockReliability(blod=blod, alpha=1.0, b=float(b))
-                for blod, b in zip(
-                    self._entry_blods, b_eff, strict=True
-                )
-            ],
-            l0=cfg.l0,
-            tail=cfg.tail,
-            rule=cfg.integration_rule,
-            include_residual_fluctuation=cfg.include_residual_fluctuation,
-        )
-        return "dose", engine, rates, starts, base_doses, b_eff
+        return None, self._bs[-1].copy(), rates, starts, base_doses
 
     # ------------------------------------------------------------------
     # evaluation
@@ -299,40 +260,25 @@ class ScenarioAnalyzer:
             * self._rates[:, segments]
         )
 
-    def _entry_expectations(self, doses: np.ndarray) -> np.ndarray:
-        """Per-entry survival expectations at per-entry dose times.
-
-        The dose path's analogue of ``StFastAnalyzer.reliability``: the
-        entries live at unit characteristic life, so the scaled profile
-        is ``b_e * ln(s_e(t))`` with per-entry abscissae, evaluated in
-        one fused kernel dispatch.
-        """
-        engine = self._engine
-        with np.errstate(divide="ignore"):
-            scaled = self._b_eff[:, None] * np.where(
-                doses > 0.0, np.log(doses), -np.inf
-            )
-        metrics.inc(
-            "integration.subdomain_evals", doses.shape[1] * engine._rule_nodes
-        )
-        return batched_rule_expectations(
-            scaled,
-            engine._log_areas,
-            engine._u_points,
-            engine._u_weights,
-            engine._v_points,
-            engine._v_weights,
-        )
-
     def entry_failure_probabilities(
         self, times: np.ndarray | float
     ) -> np.ndarray:
-        """``(n_entries, n_times)`` per (mechanism, block) failure probs."""
+        """``(n_entries, n_times)`` per (mechanism, block) failure probs.
+
+        One kernel profile: ``b_e ln(t / alpha_e)``, or ``b_e ln(s_e(t))``
+        at each entry's accumulated dose in the dose mode.
+        """
         times_arr = np.atleast_1d(np.asarray(times, dtype=float))
         check_times(times_arr)
-        if self._mode == "dose":
-            return 1.0 - self._entry_expectations(self._doses(times_arr))
-        return self._engine.block_failure_probabilities(times_arr)
+        if self._alpha_eff is None:
+            abscissae = self._doses(times_arr)
+        else:
+            abscissae = times_arr[None, :] / self._alpha_eff[:, None]
+        with np.errstate(divide="ignore"):
+            scaled = self._b_eff[:, None] * np.where(
+                abscissae > 0.0, np.log(abscissae), -np.inf
+            )
+        return 1.0 - self._tables.expectations(scaled)
 
     def reliability(
         self, times: np.ndarray | float, clip: bool = True
@@ -340,14 +286,7 @@ class ScenarioAnalyzer:
         """Ensemble chip reliability under the scenario (eq. (28))."""
         times_arr = np.asarray(times, dtype=float)
         scalar = times_arr.ndim == 0
-        if self._mode != "dose":
-            value = np.atleast_1d(
-                self._engine.reliability(times_arr, clip=clip)
-            )
-            return float(value[0]) if scalar else value
-        failures = self.entry_failure_probabilities(
-            np.atleast_1d(times_arr)
-        )
+        failures = self.entry_failure_probabilities(times_arr)
         value = 1.0 - failures.sum(axis=0)
         if clip:
             value = np.clip(value, 0.0, 1.0)

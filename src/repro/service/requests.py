@@ -22,7 +22,7 @@ from typing import Any
 
 from repro import payloads
 from repro.chip.benchmarks import BENCHMARK_DEVICE_COUNTS, make_benchmark
-from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
+from repro.core.analyzer import METHODS, ReliabilityAnalyzer, build_analyzer
 from repro.errors import ReproError, ServiceError
 from repro.exec.cache import fingerprint
 
@@ -317,20 +317,15 @@ class JobRequest:
         return self.kind == "lifetime" and "mc" in self.methods
 
     def build_analyzer(self) -> ReliabilityAnalyzer:
-        """The analyzer for this request (mirrors the CLI's semantics)."""
-        if self.setup is not None:
-            floorplan, budget, obd_model, config = _load_setup(self.setup)
-            if self.vdd is not None:
-                config = dataclasses.replace(config, vdd=self.vdd)
-            return ReliabilityAnalyzer(
-                floorplan, budget=budget, obd_model=obd_model, config=config
-            )
-        assert self.design is not None
-        floorplan = make_benchmark(self.design)
-        config = AnalysisConfig(
-            grid_size=self.grid, rho_dist=self.rho, vdd=self.vdd
+        """The analyzer for this request: the CLI's :func:`build_analyzer`."""
+        if self.setup is None:
+            assert self.design is not None
+            floorplan = make_benchmark(self.design)
+            return build_analyzer(floorplan, self.grid, self.rho, self.vdd)
+        floorplan, budget, obd_model, config = _load_setup(self.setup)
+        return build_analyzer(
+            floorplan, vdd=self.vdd, setup=(budget, obd_model, config)
         )
-        return ReliabilityAnalyzer(floorplan, config=config)
 
 
 def _load_setup(setup: dict[str, Any]) -> Any:

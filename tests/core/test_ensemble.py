@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ensemble import (
-    BlockReliability,
-    StFastAnalyzer,
-    StMcAnalyzer,
-    worst_case_blocks,
-)
+from repro.core.ensemble import BlockReliability, StFastAnalyzer, StMcAnalyzer
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.exec import ProcessBackend, ThreadBackend
@@ -229,20 +224,89 @@ class TestStMcAnalyzer:
 
 
 class TestWorstCaseBlocks:
-    def test_all_blocks_get_worst_params(self, blocks):
-        worst = worst_case_blocks(blocks)
-        alpha_min = min(block.alpha for block in blocks)
-        assert all(block.alpha == alpha_min for block in worst)
-        # BLODs are preserved.
-        assert [w.blod.name for w in worst] == [b.blod.name for b in blocks]
+    """temp_unaware: st_fast at the hottest block's (alpha, b) on every block."""
+
+    def test_all_blocks_get_worst_params(self, small_analyzer, times):
+        alphas, bs = small_analyzer.worst_case
+        hottest = int(np.argmax(small_analyzer.block_temperatures))
+        assert np.all(alphas == small_analyzer.alphas[hottest])
+        assert np.all(bs == small_analyzer.bs[hottest])
+        # The method is st_fast at the broadcast vectors, bit for bit.
+        np.testing.assert_array_equal(
+            small_analyzer.temp_unaware.reliability(times),
+            small_analyzer.st_fast.reliability(times, alphas, bs),
+        )
+
+    def test_first_minimum_alpha_on_ties(self, small_analyzer):
+        point = small_analyzer.at(small_analyzer.block_temperatures)
+        point.alphas = np.array([2e6, 1e6, 1e6, 3e6])
+        point.bs = np.array([1.1, 1.2, 1.3, 1.4])
+        alphas, bs = point.worst_case
+        assert np.all(alphas == 1e6)
+        assert np.all(bs == 1.2)
 
     def test_temp_unaware_is_pessimistic(self, blocks, times):
         aware = StFastAnalyzer(blocks)
-        unaware = StFastAnalyzer(worst_case_blocks(blocks))
-        r_aware = aware.reliability(times)
-        r_unaware = unaware.reliability(times)
-        assert np.all(r_unaware <= r_aware + 1e-15)
+        worst = min(blocks, key=lambda block: block.alpha)
+        n = len(blocks)
+        r_unaware = aware.reliability(
+            times, np.full(n, worst.alpha), np.full(n, worst.b)
+        )
+        assert np.all(r_unaware <= aware.reliability(times) + 1e-15)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            worst_case_blocks([])
+    def test_empty_rejected(self, blocks, times):
+        with pytest.raises(ConfigurationError, match="one \\(alpha, b\\) pair"):
+            StFastAnalyzer(blocks).reliability(
+                times, np.array([]), np.array([])
+            )
+
+    @pytest.mark.parametrize("cls", [StFastAnalyzer, StMcAnalyzer])
+    def test_bad_override_names_block(self, blocks, times, cls):
+        analyzer = cls(blocks) if cls is StFastAnalyzer else cls(
+            blocks, n_samples=200, seed=1
+        )
+        alphas = np.array([block.alpha for block in blocks])
+        bs = np.array([block.b for block in blocks])
+        for name, values, bad in (("alpha", alphas, np.nan), ("b", bs, -1.0)):
+            broken = values.copy()
+            broken[2] = bad
+            message = f"block {blocks[2].name!r}: {name} must be finite"
+            with pytest.raises(ConfigurationError, match=message):
+                analyzer.reliability(times, **{f"{name}s": broken})
+        with pytest.raises(ConfigurationError, match="one \\(alpha, b\\) pair"):
+            analyzer.failure_probability(times, alphas=alphas[:2])
+
+
+class TestOperatingPointOverrides:
+    """``alphas=``/``bs=`` equal an analyzer whose blocks carry them."""
+
+    @pytest.mark.parametrize("estimator", ["samples", "histogram"])
+    def test_st_mc_reads_overrides(self, blocks, times, estimator):
+        alphas = np.array([block.alpha for block in blocks]) / 3.0
+        bs = np.array([block.b for block in blocks]) * 1.05
+        moved = [
+            BlockReliability(blod=block.blod, alpha=a, b=b)
+            for block, a, b in zip(blocks, alphas.tolist(), bs.tolist(), strict=True)
+        ]
+        nominal = StMcAnalyzer(blocks, n_samples=500, seed=3, estimator=estimator)
+        fresh = StMcAnalyzer(moved, n_samples=500, seed=3, estimator=estimator)
+        np.testing.assert_array_equal(
+            nominal.reliability(times, alphas, bs), fresh.reliability(times)
+        )
+        np.testing.assert_array_equal(
+            nominal.block_failure_probabilities(times, alphas, bs),
+            fresh.block_failure_probabilities(times),
+        )
+
+    def test_st_fast_reads_overrides(self, blocks, times):
+        alphas = np.array([block.alpha for block in blocks]) * 2.0
+        bs = np.array([block.b for block in blocks]) * 0.95
+        moved = [
+            BlockReliability(blod=block.blod, alpha=a, b=b)
+            for block, a, b in zip(blocks, alphas.tolist(), bs.tolist(), strict=True)
+        ]
+        nominal = StFastAnalyzer(blocks)
+        np.testing.assert_array_equal(
+            nominal.failure_probability(times, alphas, bs),
+            StFastAnalyzer(moved).failure_probability(times),
+        )

@@ -261,3 +261,33 @@ class TestMissionAnalyzerBehaviour:
     def test_time_zero(self, analyzer):
         mission = mission_analyzer(analyzer, _uniform_profile(analyzer, 95.0))
         assert mission.reliability(0.0) == pytest.approx(1.0)
+
+
+class TestHostRule:
+    """A mission evaluates the design's st_fast tables, under its rule."""
+
+    @pytest.mark.parametrize("rule", ["midpoint", "gauss"])
+    def test_one_phase_mission_is_host_st_fast(self, rule):
+        from repro import AnalysisConfig, ReliabilityAnalyzer, make_benchmark
+        from repro.core.lifetime import ppm_to_reliability
+
+        host = ReliabilityAnalyzer(
+            make_benchmark("C2"),
+            config=AnalysisConfig(grid_size=10, integration_rule=rule),
+        )
+        mission = mission_analyzer(
+            host,
+            MissionProfile(
+                phases=(OperatingPhase("own", 1.0, host.block_temperatures),)
+            ),
+        )
+        times = np.geomspace(1e4, 1e7, 12)
+        np.testing.assert_array_equal(
+            mission.reliability(times), host.st_fast.reliability(times)
+        )
+        # The same solve from the host's guard-band seed walks the same
+        # floats.
+        guess = host.guard.lifetime(ppm_to_reliability(10.0))
+        assert mission.lifetime(10.0, t_guess=guess) == host.lifetime(
+            10.0, method="st_fast"
+        )

@@ -1,6 +1,10 @@
 """Unit tests for the sensitivity (tornado) analysis."""
 
+import dataclasses
+
 import pytest
+
+from repro import ReliabilityAnalyzer
 
 from repro.core.sensitivity import (
     PARAMETERS,
@@ -47,6 +51,32 @@ class TestLifetimeSensitivities:
             lo, hi = sorted((r.lifetime_low, r.lifetime_high))
             assert lo <= base * 1.001
             assert hi >= base * 0.999
+
+    def test_operating_point_probes_match_rebuilt_analyses(
+        self, results, small_analyzer
+    ):
+        """The vdd and temperature probes are ``analyzer.at(...)``:
+        bit-identical to a fresh analyzer at the probed point."""
+        analyzer = small_analyzer
+        by_name = {r.parameter: r for r in results}
+
+        def fresh(vdd, temps):
+            return ReliabilityAnalyzer(
+                analyzer.floorplan,
+                budget=analyzer.budget,
+                obd_model=analyzer.obd_model,
+                config=dataclasses.replace(analyzer.config, vdd=vdd),
+                block_temperatures=temps,
+            ).lifetime(10.0, method="st_fast")
+
+        vdd = by_name["vdd"]
+        step = 0.05 * vdd.base_value
+        temps = analyzer.block_temperatures
+        assert vdd.lifetime_low == fresh(vdd.base_value - step, temps)
+        assert vdd.lifetime_high == fresh(vdd.base_value + step, temps)
+        margin = by_name["temperature_margin"]
+        assert margin.lifetime_low == fresh(None, temps - 2.0)
+        assert margin.lifetime_high == fresh(None, temps + 2.0)
 
     def test_subset_of_parameters(self, small_analyzer):
         subset = lifetime_sensitivities(

@@ -1,6 +1,11 @@
 """Unit tests for supply-voltage screening."""
 
+import dataclasses
+
 import pytest
+from scipy import optimize
+
+from repro import ReliabilityAnalyzer
 
 from repro.core.voltage import (
     VoltageScreeningResult,
@@ -23,10 +28,6 @@ class TestMaxVddForTarget:
         assert 0.9 < result.max_vdd < 2.0
         # At the found voltage the lifetime equals the target (within the
         # solver tolerance mapped through the local slope).
-        import dataclasses
-
-        from repro import ReliabilityAnalyzer
-
         probe = ReliabilityAnalyzer(
             analyzer.floorplan,
             budget=analyzer.budget,
@@ -35,6 +36,26 @@ class TestMaxVddForTarget:
             block_temperatures=analyzer.block_temperatures,
         )
         assert probe.lifetime(10.0) == pytest.approx(target, rel=0.01)
+
+    @pytest.mark.parametrize("method", ["st_fast", "temp_unaware", "guard"])
+    def test_operating_points_match_rebuilt_analyses(self, analyzer, method):
+        """Each probe is ``analyzer.at(T, vdd)``: bit-identical to the search
+        that builds a fresh analyzer at every probed voltage."""
+        target = years_to_hours(10.0)
+
+        def margin(vdd):
+            probe = ReliabilityAnalyzer(
+                analyzer.floorplan,
+                budget=analyzer.budget,
+                obd_model=analyzer.obd_model,
+                config=dataclasses.replace(analyzer.config, vdd=vdd),
+                block_temperatures=analyzer.block_temperatures,
+            )
+            return probe.lifetime(10.0, method=method) - target
+
+        rebuilt = float(optimize.brentq(margin, 0.9, 2.0, xtol=1e-4))
+        result = max_vdd_for_target(analyzer, target, method=method)
+        assert result.max_vdd == rebuilt
 
     def test_stricter_target_lower_vdd(self, analyzer):
         loose = max_vdd_for_target(analyzer, years_to_hours(5.0))

@@ -28,8 +28,12 @@ import pytest
 import repro
 from repro import obs
 from repro.chip.benchmarks import make_alpha_processor, make_benchmark
+from repro.core import ensemble
 from repro.core.analyzer import ReliabilityAnalyzer
+from repro.core.ensemble import StFastAnalyzer
+from repro.core.hybrid import HybridAnalyzer
 from repro.core.lifetime import ppm_to_reliability, solve_lifetime
+from repro.exec.batch import SweepSpec, run_batch
 from repro.power.activity import ActivityProfile, available_presets
 from repro.power.loop import solve_power_thermal
 from repro.service.requests import JobRequest, run_job
@@ -86,6 +90,74 @@ def test_work_counters(design, grid, tmp_path, monkeypatch):
         counters["integration.subdomain_evals"]
         == golden["integration.subdomain_evals"]
     )
+
+
+#: One fresh design_sweep-shaped sweep: C1 on a 15x15 grid at two uniform
+#: temperatures over st_fast, temp_unaware, hybrid and guard, from empty
+#: caches.  The design gets one analyzer and the other temperature is an
+#: operating point of it, so the sweep sets up one analyzer, builds one
+#: set of rule tables (one ``st_fast.rules`` span, one midpoint rule build)
+#: and one ``StFastAnalyzer``; before the design model was split out it
+#: read 2, 4, 6 and 4.
+SWEEP_GOLDEN = {
+    "analyzer.setup": 1,
+    "st_fast.rules": 1,
+    "midpoint_block_rules": 1,
+    "StFastAnalyzer": 1,
+    "exec.batch.fused_cells": 4,
+}
+
+
+def _span_names(docs: list[dict]) -> list[str]:
+    names = []
+    for doc in docs:
+        names.append(doc["name"])
+        names.extend(_span_names(doc.get("children", [])))
+    return names
+
+
+def test_sweep_builds_one_design_model(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_ARTIFACT_CACHE_DIR", str(tmp_path / "artifacts"))
+    built: dict[str, list] = {"StFastAnalyzer": [], "HybridAnalyzer": []}
+    for cls in (StFastAnalyzer, HybridAnalyzer):
+        original = cls.__init__
+
+        def recording_init(self, *args, _original=original, **kwargs):
+            _original(self, *args, **kwargs)
+            built[type(self).__name__].append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    rule_builds = []
+    original_rules = ensemble.midpoint_block_rules
+
+    def counting_rules(*args, **kwargs):
+        rule_builds.append(args)
+        return original_rules(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "midpoint_block_rules", counting_rules)
+    spec = SweepSpec(
+        designs=("C1",),
+        methods=("st_fast", "temp_unaware", "hybrid", "guard"),
+        temperatures_c=(61.5, 97.25),
+        grid_size=15,
+    )
+    obs.reset()
+    with obs.enabled():
+        run_batch(spec, use_cache=False)
+        names = _span_names(obs.trace_snapshot())
+        fused = obs.metrics_snapshot()["counters"]["exec.batch.fused_cells"]
+    counts = {
+        "analyzer.setup": names.count("analyzer.setup"),
+        "st_fast.rules": names.count("st_fast.rules"),
+        "midpoint_block_rules": len(rule_builds),
+        "StFastAnalyzer": len(built["StFastAnalyzer"]),
+        "exec.batch.fused_cells": fused,
+    }
+    assert counts == SWEEP_GOLDEN
+    (st_fast,) = built["StFastAnalyzer"]
+    assert len(built["HybridAnalyzer"]) == 2
+    for hybrid in built["HybridAnalyzer"]:
+        assert hybrid.rule_tables is st_fast.rule_tables
 
 
 #: A C2 power-thermal sweep on a 64-cell mesh over three activity modes,
