@@ -2,44 +2,46 @@
 
 Not a paper artifact: this exercises the "reliability management"
 extension DESIGN.md lists (cumulative-exposure damage over operating
-phases) and cross-validates the closed-form mission lifetime against a
-Monte-Carlo simulation with explicitly mixed stress.
+phases, a residency scenario) and cross-validates the closed-form mission
+lifetime against a Monte-Carlo simulation with explicitly mixed stress.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.design_cache import prepared_analyzer
-from repro.core.mission import MissionProfile, OperatingPhase, mission_analyzer
+from repro.scenario import (
+    Scenario,
+    ScenarioAnalyzer,
+    StressPhase,
+    phase_dose_shares,
+)
+
+
+def _mission(*phases: StressPhase) -> Scenario:
+    return Scenario(phases=phases, composition="residency")
 
 
 def test_ext_mission_vs_static_bounds(report, benchmark):
     analyzer = prepared_analyzer("C2")
     temps = analyzer.block_temperatures
 
-    profile = MissionProfile(
-        phases=(
-            OperatingPhase("idle", 0.5, temps - 25.0),
-            OperatingPhase("typical", 0.4, temps),
-            OperatingPhase("turbo", 0.1, temps + 10.0, vdd=1.27),
-        )
+    profile = _mission(
+        StressPhase("idle", fraction=0.5, temperature_c=temps - 25.0),
+        StressPhase("typical", fraction=0.4, temperature_c=temps),
+        StressPhase("turbo", fraction=0.1, temperature_c=temps + 10.0, vdd=1.27),
     )
     mission = benchmark.pedantic(
-        lambda: mission_analyzer(analyzer, profile), rounds=3, iterations=1
+        lambda: ScenarioAnalyzer(analyzer, profile), rounds=3, iterations=1
     )
     lt_mission = mission.lifetime(10)
     bounds = {}
     for phase in profile.phases:
-        single = mission_analyzer(
-            analyzer,
-            MissionProfile(
-                phases=(
-                    OperatingPhase(
-                        phase.name, 1.0, phase.block_temperatures, phase.vdd
-                    ),
-                )
-            ),
+        single = ScenarioAnalyzer(
+            analyzer, _mission(replace(phase, fraction=1.0))
         )
         bounds[phase.name] = single.lifetime(10)
 
@@ -61,7 +63,7 @@ def test_ext_mission_vs_static_bounds(report, benchmark):
     assert worst < lt_mission < best
     # The damage-share diagnostic is consistent: turbo ages blocks faster
     # than its time share.
-    shares = mission.phase_damage_shares()
+    shares = phase_dose_shares(profile.fractions, mission.alphas)
     assert np.all(shares[2] > 0.1)
 
 
@@ -70,30 +72,19 @@ def test_ext_mission_matches_mixed_stress_mc(report, benchmark):
     per-block harmonic-effective alphas applied in the MC engine (the same
     damage law evaluated by brute force)."""
     from repro.core.ensemble import BlockReliability
-    from repro.core.mission import effective_block_params
     from repro.core.montecarlo import MonteCarloEngine
+    from repro.scenario import effective_block_params
 
     analyzer = prepared_analyzer("C1")
     temps = analyzer.block_temperatures
-    profile = MissionProfile(
-        phases=(
-            OperatingPhase("cool", 0.7, temps - 15.0),
-            OperatingPhase("hot", 0.3, temps + 10.0),
-        )
+    profile = _mission(
+        StressPhase("cool", fraction=0.7, temperature_c=temps - 15.0),
+        StressPhase("hot", fraction=0.3, temperature_c=temps + 10.0),
     )
-    mission = mission_analyzer(analyzer, profile)
+    mission = ScenarioAnalyzer(analyzer, profile)
 
-    n_blocks = analyzer.floorplan.n_blocks
-    alphas = np.empty((2, n_blocks))
-    bs = np.empty((2, n_blocks))
-    for p, phase in enumerate(profile.phases):
-        params = analyzer.obd_model.block_params(
-            phase.temperatures_for(n_blocks), phase.vdd
-        )
-        alphas[p] = [prm.alpha for prm in params]
-        bs[p] = [prm.b for prm in params]
     alpha_eff, b_eff = effective_block_params(
-        profile.fractions, alphas, bs
+        profile.fractions, mission.alphas, mission.bs
     )
     blocks_eff = [
         BlockReliability(blod=b.blod, alpha=float(a), b=float(bb))

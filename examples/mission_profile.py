@@ -3,12 +3,14 @@
 Puts the library's management extensions together for a product scenario:
 
 1. Define a duty-cycled mission (idle / typical / turbo phases) for the
-   C2 design and compute the mission lifetime under the cumulative-
-   exposure damage law — versus the naive always-worst-case number.
-2. Show which phase ages which block (phase damage shares).
+   C2 design as a residency scenario of time fractions and compute the
+   mission lifetime under the cumulative-exposure damage law — versus
+   the naive always-worst-case number.
+2. Show which phase ages which block (phase dose shares).
 3. Add an extrinsic (weak-oxide defect) population and optimise the
    burn-in duration for a 5-year warranty: enough stress to screen infant
-   mortality, not so much that it consumes intrinsic wearout life.
+   mortality, not so much that it consumes intrinsic wearout life.  The
+   intrinsic part is the ordered burn-in→field scenario.
 
 Run:  python examples/mission_profile.py
 """
@@ -20,11 +22,14 @@ import numpy as np
 from repro import (
     BurnInAnalyzer,
     ExtrinsicDefectModel,
-    MissionProfile,
-    OperatingPhase,
     ReliabilityAnalyzer,
     make_benchmark,
-    mission_analyzer,
+)
+from repro.scenario import (
+    Scenario,
+    ScenarioAnalyzer,
+    StressPhase,
+    phase_dose_shares,
 )
 from repro.units import hours_to_years, years_to_hours
 
@@ -34,25 +39,24 @@ def main() -> None:
     analyzer = ReliabilityAnalyzer(floorplan)
     base_temps = analyzer.block_temperatures
 
-    # --- 1. the mission -------------------------------------------------
-    profile = MissionProfile(
+    # --- 1. the mission: time fractions, composed as residency ----------
+    profile = Scenario(
         phases=(
-            OperatingPhase("idle", 0.55, base_temps - 30.0),
-            OperatingPhase("typical", 0.40, base_temps),
-            OperatingPhase("turbo", 0.05, base_temps + 12.0, vdd=1.28),
-        )
+            StressPhase("idle", fraction=0.55, temperature_c=base_temps - 30.0),
+            StressPhase("typical", fraction=0.40, temperature_c=base_temps),
+            StressPhase(
+                "turbo", fraction=0.05, temperature_c=base_temps + 12.0, vdd=1.28
+            ),
+        ),
+        composition="residency",
     )
-    mission = mission_analyzer(analyzer, profile)
+    mission = ScenarioAnalyzer(analyzer, profile)
 
     lt_mission = mission.lifetime(10)
-    lt_always_worst = mission_analyzer(
-        analyzer,
-        MissionProfile(
-            phases=(
-                OperatingPhase("turbo", 1.0, base_temps + 12.0, vdd=1.28),
-            )
-        ),
-    ).lifetime(10)
+    always_turbo = Scenario(
+        phases=(StressPhase("turbo", temperature_c=base_temps + 12.0, vdd=1.28),)
+    )
+    lt_always_worst = ScenarioAnalyzer(analyzer, always_turbo).lifetime(10)
     lt_static = analyzer.lifetime(10)
 
     print("10-per-million lifetime, design C2:")
@@ -62,7 +66,7 @@ def main() -> None:
     print()
 
     # --- 2. who ages what ------------------------------------------------
-    shares = mission.phase_damage_shares()
+    shares = phase_dose_shares(profile.fractions, mission.alphas)
     hottest = int(np.argmax(base_temps))
     print(
         f"damage shares on the hottest block "

@@ -40,12 +40,6 @@ from repro.core.lifetime import (
     ppm_to_reliability,
     solve_lifetime,
 )
-from repro.core.mission import (
-    MissionAnalyzer,
-    MissionProfile,
-    OperatingPhase,
-    mission_analyzer,
-)
 from repro.core.montecarlo import MonteCarloEngine, ReliabilityCurve
 from repro.core.obd_model import (
     DeviceReliabilityParams,
@@ -138,12 +132,8 @@ __all__ = [
     "voltage_headroom",
     "extract_variation_model",
     "synthesize_measurements",
-    "MissionAnalyzer",
-    "MissionProfile",
-    "OperatingPhase",
     "SensitivityResult",
     "lifetime_sensitivities",
-    "mission_analyzer",
     "tornado_text",
     "CanonicalThicknessModel",
     "ChipLeakagePopulation",

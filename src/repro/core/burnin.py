@@ -9,29 +9,41 @@ helps depends on the failure population:
 - *extrinsic* (defect-related) breakdown of weak oxide spots has a slope
   below 1 (infant mortality) — burn-in removes those early fails.
 
-This module combines the paper's ensemble intrinsic model with a simple
-extrinsic defect population and evaluates post-burn-in field reliability:
+The intrinsic population is the scenario engine's ordered burn-in→field
+schedule (:mod:`repro.scenario`): ``t_b`` hours at the burn-in condition,
+then the design's own operating point.  Under the cumulative-exposure
+law block ``j``'s dose after ``t_use`` field hours is
+``t_b / alpha_stress + t_use / alpha_use_j``, so burn-in advances each
+block's effective field age by its acceleration factor
+``A_j = alpha_use_j / alpha_stress``.  This module adds a simple
+extrinsic defect population and evaluates post-burn-in field
+reliability:
 
-    R_field(t) = R_total(t_use + A_j * t_b) / R_total(A_j * t_b)
+    R_field(t) = R_total(t_b + t) / R_total(t_b)
 
-under the cumulative-exposure damage law (same as
-:mod:`repro.core.mission`): burn-in time advances each block's effective
-age by the per-block acceleration factor ``A_j = alpha_use_j /
-alpha_stress``. Given a warranty window it finds the burn-in duration
-minimising field failures — the classic screening trade-off, now with
-process variation and temperature awareness included.
+Given a warranty window it finds the burn-in duration minimising field
+failures — the classic screening trade-off, now with process variation
+and temperature awareness included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.analyzer import ReliabilityAnalyzer
-from repro.core.closed_form import _EXP_MAX, _EXP_MIN
-from repro.core.ensemble import midpoint_block_rules
+from repro.core.closed_form import _EXP_MIN
 from repro.errors import ConfigurationError
+from repro.scenario import Scenario, ScenarioAnalyzer, StressPhase
+
+
+def _check_duration(value: float, name: str) -> None:
+    """Reject a negative, infinite or NaN duration, naming the argument."""
+    if not 0.0 <= value < np.inf:  # NaN fails too
+        raise ConfigurationError(
+            f"{name} must be finite and non-negative, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -64,19 +76,33 @@ class ExtrinsicDefectModel:
     acceleration: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.density < 0.0:
-            raise ConfigurationError("defect density must be >= 0")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ConfigurationError("alpha and beta must be positive")
-        if not self.beta < 1.0:
+        # NaN fails every comparison, so each check rejects it too.
+        if not 0.0 <= self.density < np.inf:
             raise ConfigurationError(
-                "extrinsic slope must be < 1 (infant mortality); use the "
-                "intrinsic model for wearout populations"
+                f"defect density must be finite and >= 0, got {self.density}"
             )
-        if self.acceleration < 1.0:
-            raise ConfigurationError("burn-in must accelerate (factor >= 1)")
+        if not 0.0 < self.alpha < np.inf:
+            raise ConfigurationError(
+                f"defect alpha must be finite and positive, got {self.alpha}"
+            )
+        if not 0.0 < self.beta < 1.0:
+            raise ConfigurationError(
+                "extrinsic slope beta must be in (0, 1) (infant "
+                f"mortality), got {self.beta}; use the intrinsic model for "
+                "wearout populations"
+            )
+        if not 1.0 <= self.acceleration < np.inf:
+            raise ConfigurationError(
+                "burn-in must accelerate: acceleration must be finite and "
+                f">= 1, got {self.acceleration}"
+            )
 
-    def exponent(self, total_area: float, t_use: float, t_stress: float) -> float:
+    def exponent(
+        self,
+        total_area: float,
+        t_use: float | np.ndarray,
+        t_stress: float,
+    ) -> float | np.ndarray:
         """Weibull exponent after ``t_stress`` of burn-in + ``t_use`` field.
 
         Damage adds on the *effective* (stress-equivalent) time axis.
@@ -93,8 +119,9 @@ class BurnInAnalyzer:
     Parameters
     ----------
     analyzer:
-        Prepared design analysis (supplies BLODs, intrinsic OBD params and
-        the total oxide area).
+        Prepared design analysis. Its operating point is the field
+        condition, and its st_fast tables evaluate the intrinsic
+        population through :class:`~repro.scenario.ScenarioAnalyzer`.
     burnin_temperature:
         Burn-in junction temperature (celsius), applied chip-wide.
     burnin_vdd:
@@ -102,8 +129,6 @@ class BurnInAnalyzer:
     defects:
         Extrinsic defect population; ``None`` disables it (pure intrinsic
         analysis, where burn-in can only hurt).
-    l0, tail:
-        Integration controls.
     """
 
     def __init__(
@@ -112,73 +137,44 @@ class BurnInAnalyzer:
         burnin_temperature: float = 125.0,
         burnin_vdd: float = 1.5,
         defects: ExtrinsicDefectModel | None = None,
-        l0: int | None = None,
-        tail: float | None = None,
     ) -> None:
         self.analyzer = analyzer
         self.defects = defects
-        stress = analyzer.obd_model.device_params(burnin_temperature, burnin_vdd)
-        self._stress_alpha = stress.alpha
-        self._stress_b = stress.b
-        self._use_alphas = np.array([b.alpha for b in analyzer.blocks])
-        self._use_bs = np.array([b.b for b in analyzer.blocks])
-        cfg = analyzer.config
-        l0 = l0 if l0 is not None else cfg.l0
-        tail = tail if tail is not None else cfg.tail
-        self._rules = midpoint_block_rules(
-            analyzer.blods, l0, tail, cfg.include_residual_fluctuation
+        # Checked here; scenario() gives it each evaluation's duration.
+        self._burnin = StressPhase(
+            "burnin", temperature_c=burnin_temperature, vdd=burnin_vdd
         )
 
-    def _block_survival_expectation(
-        self, index: int, t_use: float, t_stress: float
-    ) -> float:
-        """``E[exp(-A_j g(effective age))]`` for one block.
+    def scenario(self, t_burnin: float) -> Scenario:
+        """``t_burnin`` hours of burn-in, then the design's operating point.
 
-        Burn-in time is converted to equivalent field time through the
-        block's acceleration factor ``alpha_use / alpha_stress``
-        (cumulative-exposure law), then the standard eq. (17) closed form
-        applies at the block's field parameters.
+        Without burn-in the field phase is the whole schedule, which the
+        scenario engine evaluates as the host's st_fast, bit for bit.
         """
-        blod = self.analyzer.blods[index]
-        u_rule, v_rule = self._rules[index]
-        alpha_use = self._use_alphas[index]
-        b_use = self._use_bs[index]
-        acceleration = alpha_use / self._stress_alpha
-        effective = t_use + acceleration * t_stress
-        if effective <= 0.0:
-            return 1.0
-        u = u_rule.points[:, None]
-        v = v_rule.points[None, :]
-        scaled = b_use * np.log(effective / alpha_use)
-        log_g = scaled * u + 0.5 * scaled**2 * v
-        exponent = np.exp(
-            np.clip(np.log(blod.area) + log_g, _EXP_MIN, _EXP_MAX)
+        _check_duration(t_burnin, "t_burnin")
+        field = StressPhase("field")
+        if t_burnin <= 0.0:
+            return Scenario(phases=(field,))
+        return Scenario(
+            phases=(replace(self._burnin, duration_hours=t_burnin), field)
         )
-        survival = np.exp(-np.clip(exponent, 0.0, -_EXP_MIN))
-        return float(u_rule.weights @ survival @ v_rule.weights)
+
+    def _survivals(self, t_use: np.ndarray, t_burnin: float) -> np.ndarray:
+        """Survival of burn-in plus each of the ``t_use`` field hours."""
+        engine = ScenarioAnalyzer(self.analyzer, self.scenario(t_burnin))
+        survival = engine.reliability(t_burnin + t_use)
+        if self.defects is None:
+            return survival
+        exponent = self.defects.exponent(
+            self.analyzer.floorplan.total_oxide_area, t_use, t_burnin
+        )
+        return survival * np.exp(-np.clip(exponent, 0.0, -_EXP_MIN))
 
     def survival(self, t_use: float, t_burnin: float) -> float:
         """Probability a chip survives burn-in plus ``t_use`` field hours."""
-        if t_use < 0.0 or t_burnin < 0.0:
-            raise ConfigurationError("durations must be non-negative")
-        failure = 0.0
-        for j in range(len(self.analyzer.blods)):
-            failure += 1.0 - self._block_survival_expectation(
-                j, t_use, t_burnin
-            )
-        intrinsic = max(1.0 - failure, 0.0)
-        if self.defects is None:
-            return intrinsic
-        extrinsic = np.exp(
-            -np.clip(
-                self.defects.exponent(
-                    self.analyzer.floorplan.total_oxide_area, t_use, t_burnin
-                ),
-                0.0,
-                -_EXP_MIN,
-            )
-        )
-        return intrinsic * float(extrinsic)
+        _check_duration(t_use, "t_use")
+        field_hours = np.array([t_use], dtype=float)
+        return float(self._survivals(field_hours, t_burnin)[0])
 
     def burnin_yield(self, t_burnin: float) -> float:
         """Fraction of chips surviving the burn-in stress itself."""
@@ -188,12 +184,17 @@ class BurnInAnalyzer:
         self, warranty_hours: float, t_burnin: float
     ) -> float:
         """P(chip fails in the field within the warranty | passed burn-in)."""
-        if warranty_hours <= 0.0:
-            raise ConfigurationError("warranty window must be positive")
-        passed = self.burnin_yield(t_burnin)
+        if not 0.0 < warranty_hours < np.inf:
+            raise ConfigurationError(
+                "warranty_hours must be finite and positive, got "
+                f"{warranty_hours!r}"
+            )
+        passed, survived = self._survivals(
+            np.array([0.0, warranty_hours], dtype=float), t_burnin
+        )
         if passed <= 0.0:
             raise ConfigurationError("burn-in kills every chip; shorten it")
-        return 1.0 - self.survival(warranty_hours, t_burnin) / passed
+        return float(1.0 - survived / passed)
 
     def optimize_burnin(
         self,
@@ -207,8 +208,13 @@ class BurnInAnalyzer:
         sweep can conclude burn-in does not pay (the intrinsic-only case).
         """
         candidates = np.asarray(candidates, dtype=float)
-        if candidates.size == 0 or np.any(candidates < 0.0):
-            raise ConfigurationError("need non-negative candidate durations")
+        if candidates.size == 0 or not np.all(
+            (candidates >= 0.0) & (candidates < np.inf)
+        ):
+            raise ConfigurationError(
+                "candidates must be a non-empty list of finite non-negative "
+                f"durations, got {candidates.tolist()}"
+            )
         curve = {
             float(t_b): self.field_failure_probability(warranty_hours, float(t_b))
             for t_b in candidates

@@ -15,10 +15,11 @@ so the effective slope is the weighted mean — the one approximation of
 the collapse, quantified in the tests and documented in
 ``docs/scenarios.md``.
 
-Both composition styles build on these functions: unordered residency
-fractions (:class:`repro.core.mission.MissionProfile`, weights = time
-fractions) and ordered phase schedules (:mod:`repro.scenario`, weights =
-normalised durations).
+The scenario engine's ``residency`` composition (a mission profile:
+weights = time fractions) evaluates the design's st_fast at these
+effective vectors; its ordered schedules (burn-in then field, weights =
+normalised durations) accumulate the same per-condition rates as a
+piecewise-linear dose.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ evaluates a :class:`~repro.scenario.schedule.Scenario` against it:
    - a single ordered phase evaluates the entries *directly* (their true
      ``(alpha, b)``), so an OBD-only steady scenario is bit-identical to
      the paper's single-condition analysis;
-   - a residency mixture collapses exactly to one equivalent condition
-     (harmonic-mean ``alpha``, mean-slope ``b``);
+   - a residency mixture (a mission profile) collapses to one
+     equivalent condition (harmonic-mean ``alpha``, mean-slope ``b``);
    - an ordered multi-phase schedule accumulates per-entry dose
      ``s_e(t) = sum_p min(d_p, ...) / alpha_{e,p}`` piecewise-linearly
      and evaluates the entries at unit characteristic life in dose
@@ -51,7 +51,7 @@ from repro.scenario.effective import effective_block_params, phase_dose_shares
 from repro.scenario.schedule import Scenario
 from repro.thermal.hotspot import HotSpotLite
 
-__all__ = ["ScenarioAnalyzer", "scenario_analyzer"]
+__all__ = ["ScenarioAnalyzer"]
 
 #: Per-mechanism entry counters (static names; the dynamic part routes
 #: through this literal dict, with a shared bucket for plugin mechanisms).
@@ -117,8 +117,10 @@ class ScenarioAnalyzer:
                 for j in range(n_blocks)
             ]
             n_entries = len(self.entries)
-            self._alphas = np.empty((scenario.n_phases, n_entries))
-            self._bs = np.empty((scenario.n_phases, n_entries))
+            #: ``(n_phases, n_entries)`` Weibull ``(alpha, b)`` of every
+            #: entry in every phase (read-only once built).
+            self.alphas = np.empty((scenario.n_phases, n_entries))
+            self.bs = np.empty((scenario.n_phases, n_entries))
             for p, phase in enumerate(scenario.phases):
                 stress = StressCondition(
                     temperatures_c=self.phase_temperatures[p],
@@ -138,9 +140,11 @@ class ScenarioAnalyzer:
                             f"{n_blocks}"
                         )
                     for prm in params:
-                        self._alphas[p, column] = prm.alpha
-                        self._bs[p, column] = prm.b
+                        self.alphas[p, column] = prm.alpha
+                        self.bs[p, column] = prm.b
                         column += 1
+            self.alphas.setflags(write=False)
+            self.bs.setflags(write=False)
             for mechanism in self._mechanisms:
                 metrics.inc(
                     _MECHANISM_BLOCK_COUNTERS.get(
@@ -209,7 +213,7 @@ class ScenarioAnalyzer:
         The direct and residency modes leave the dose arrays ``None``; the
         dose mode has no ``alpha_eff`` (unit characteristic life).
         """
-        for name, values in (("alpha", self._alphas), ("b", self._bs)):
+        for name, values in (("alpha", self.alphas), ("b", self.bs)):
             bad = ~((values > 0.0) & (values < np.inf))  # NaN is bad too
             if bad.any():
                 p, e = np.argwhere(bad)[0]
@@ -225,10 +229,10 @@ class ScenarioAnalyzer:
             # (alpha, b).  This is the exact same computation (and, for
             # the OBD-only case, the same floats) as the host's st_fast
             # path — no effective-age round trip to perturb the bits.
-            return self._alphas[0], self._bs[0], None, None, None
+            return self.alphas[0], self.bs[0], None, None, None
         if scenario.composition == "residency":
             alpha_eff, b_eff = effective_block_params(
-                scenario.fractions, self._alphas, self._bs
+                scenario.fractions, self.alphas, self.bs
             )
             return alpha_eff, b_eff, None, None, None
         # Ordered multi-phase: dose coordinates.  Each entry ages at rate
@@ -236,7 +240,7 @@ class ScenarioAnalyzer:
         # the entry is evaluated at unit characteristic life with the
         # final (open-ended) phase's slope as the common Weibull slope.
         durations = scenario.finite_durations
-        rates = 1.0 / self._alphas.T  # (n_entries, n_phases)
+        rates = 1.0 / self.alphas.T  # (n_entries, n_phases)
         starts = np.concatenate(([0.0], np.cumsum(durations)))
         base_doses = np.concatenate(
             (
@@ -245,7 +249,7 @@ class ScenarioAnalyzer:
             ),
             axis=1,
         )
-        return None, self._bs[-1].copy(), rates, starts, base_doses
+        return None, self.bs[-1].copy(), rates, starts, base_doses
 
     # ------------------------------------------------------------------
     # evaluation
@@ -342,8 +346,8 @@ class ScenarioAnalyzer:
     def phase_damage(self, time_hours: float) -> dict[str, float]:
         """Each phase's share of the accumulated dose (entry-averaged).
 
-        For residency scenarios this is the mission model's
-        :func:`phase_dose_shares` averaged over entries; for ordered
+        For residency scenarios this is :func:`phase_dose_shares` of
+        :attr:`alphas`, averaged over entries; for ordered
         scenarios, each phase's slice of the piecewise dose at
         ``time_hours``.  A single-phase scenario attributes everything
         to its one phase.
@@ -351,7 +355,7 @@ class ScenarioAnalyzer:
         names = [phase.name for phase in self.scenario.phases]
         if self.scenario.composition == "residency":
             shares = phase_dose_shares(
-                self.scenario.fractions, self._alphas
+                self.scenario.fractions, self.alphas
             ).mean(axis=1)
             return dict(
                 zip(names, (float(s) for s in shares), strict=True)
@@ -376,12 +380,3 @@ class ScenarioAnalyzer:
                 0.0,
             ).mean(axis=0)
         return dict(zip(names, (float(s) for s in shares), strict=True))
-
-
-def scenario_analyzer(
-    analyzer: ReliabilityAnalyzer,
-    scenario: Scenario,
-    thermal_model: HotSpotLite | None = None,
-) -> ScenarioAnalyzer:
-    """Build a scenario analyzer on top of a prepared design analysis."""
-    return ScenarioAnalyzer(analyzer, scenario, thermal_model=thermal_model)

@@ -12,9 +12,9 @@ failure mechanisms racing under it.  Two composition laws:
     (see :mod:`repro.scenario.engine`).
 
 ``residency``
-    Unordered time fractions, the :mod:`repro.core.mission` model: every
-    phase carries a ``fraction`` and the fractions sum to one.  The
-    mixture collapses exactly to a single equivalent condition.
+    Unordered time fractions, a mission profile: every phase carries a
+    ``fraction`` and the fractions sum to one.  The mixture collapses to
+    a single equivalent condition.
 
 Each phase names its stress one of three ways: explicit block
 temperature(s) (``temperature_c``), a power-map scale factor

@@ -9,7 +9,7 @@ steady-state conductance system into
 
 integrated here with unconditionally stable backward Euler. Because the
 thermal time constants (milliseconds) are tiny compared to OBD time scales
-(years), the mission-profile analysis consumes the per-phase *steady
+(years), the scenario engine consumes the per-phase *steady
 states*; the transient solver exists to verify that separation (phases
 reach steady state quickly) and to study short thermal transients.
 """

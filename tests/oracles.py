@@ -3,11 +3,11 @@
 Each production kernel has one implementation: vectorised conductance
 assembly and overlap rasterisation, the block power vector, the fused
 survival kernels of the ensemble analyzers, the on-demand hybrid table
-fill and look-up, and the batched Imhof rule.  The straightforward
-per-cell and per-block loops they replaced live here, outside ``src/``,
-as the oracles of the equivalence tests
-(``tests/core/test_kernels_equivalence.py`` and friends).  They are
-written for clarity, not speed.
+fill and look-up, the batched Imhof rule, and burn-in as a burn-in→field
+scenario.  The straightforward per-cell and per-block loops they
+replaced live here, outside ``src/``, as the oracles of the equivalence
+tests (``tests/core/test_kernels_equivalence.py`` and friends).  They
+are written for clarity, not speed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from scipy.sparse.linalg import spsolve
 from repro.chip.floorplan import Floorplan
 from repro.chip.geometry import GridSpec, Rect
 from repro.core.closed_form import _EXP_MAX, _EXP_MIN, safe_log_t_ratio
-from repro.core.ensemble import BlockReliability, StMcAnalyzer, _survival_on_grid
+from repro.core.analyzer import ReliabilityAnalyzer
+from repro.core.ensemble import (
+    BlockReliability,
+    StMcAnalyzer,
+    _survival_on_grid,
+    midpoint_block_rules,
+)
 from repro.core.hybrid import HybridAnalyzer
 from repro.errors import ConfigurationError
 from repro.kernels import batched_rule_expectations, pad_rule_tables
@@ -169,6 +175,49 @@ def st_mc_sample_expectations(
         survival = np.where(finite, np.exp(-np.exp(exponent)), 1.0)
         out[j] = survival.mean(axis=1)
     return out
+
+
+def burnin_block_failures(
+    analyzer: ReliabilityAnalyzer,
+    t_use: float,
+    t_burnin: float,
+    burnin_temperature: float = 125.0,
+    burnin_vdd: float = 1.5,
+) -> np.ndarray:
+    """``(n_blocks,)`` intrinsic failure probabilities after ``t_burnin``
+    burn-in hours plus ``t_use`` field hours, one block at a time.
+
+    Burn-in time converts to field time through the block's acceleration
+    factor ``alpha_use / alpha_stress`` (cumulative exposure); eq. (17)'s
+    closed form then applies at the block's field parameters, on midpoint
+    rules built from the analyzer's ``l0`` and ``tail``.  The chip survival
+    is ``max(1 - sum(failures), 0)``, summed in block order.
+    """
+    stress_alpha = analyzer.obd_model.device_params(
+        burnin_temperature, burnin_vdd
+    ).alpha
+    cfg = analyzer.config
+    rules = midpoint_block_rules(
+        analyzer.blods, cfg.l0, cfg.tail, cfg.include_residual_fluctuation
+    )
+    failures = np.zeros(len(analyzer.blocks))
+    for j, (block, (u_rule, v_rule)) in enumerate(
+        zip(analyzer.blocks, rules, strict=True)
+    ):
+        acceleration = block.alpha / stress_alpha
+        effective = t_use + acceleration * t_burnin
+        if effective <= 0.0:
+            continue
+        u = u_rule.points[:, None]
+        v = v_rule.points[None, :]
+        scaled = block.b * np.log(effective / block.alpha)
+        log_g = scaled * u + 0.5 * scaled**2 * v
+        exponent = np.exp(
+            np.clip(np.log(block.blod.area) + log_g, _EXP_MIN, _EXP_MAX)
+        )
+        survival = np.exp(-np.clip(exponent, 0.0, -_EXP_MIN))
+        failures[j] = 1.0 - float(u_rule.weights @ survival @ v_rule.weights)
+    return failures
 
 
 def hybrid_tables(hybrid: HybridAnalyzer) -> np.ndarray:

@@ -1,10 +1,14 @@
-"""Property-based tests for the cumulative-exposure mission model."""
+"""Property-based tests for the cumulative-exposure collapse of a mission.
+
+A mission is a residency scenario; these pin the effective ``(alpha, b)``
+it is evaluated at.
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mission import effective_block_params
+from repro.scenario import effective_block_params
 
 alphas = st.floats(min_value=1e2, max_value=1e12)
 bs = st.floats(min_value=0.5, max_value=3.0)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro import AnalysisConfig, Block, Floorplan, ReliabilityAnalyzer
-from repro.core.mission import (
-    MissionProfile,
-    OperatingPhase,
-    mission_analyzer,
-)
 from repro.errors import ConfigurationError
 from repro.payloads import dump_payload, lifetime_payload, scenario_payload
-from repro.scenario import Scenario, ScenarioAnalyzer, StressPhase
+from repro.scenario import (
+    Scenario,
+    ScenarioAnalyzer,
+    StressPhase,
+    effective_block_params,
+)
 from repro.thermal.factor_cache import clear_factor_cache, factor_cache_stats
 
 PPM = 100.0
@@ -64,7 +64,9 @@ class TestDegenerateScenario:
 
 
 class TestResidencyComposition:
-    def test_bitwise_vs_mission_analyzer(self, small_analyzer):
+    def test_bitwise_vs_st_fast_at_effective_params(self, small_analyzer):
+        """A residency scenario is the host's st_fast at the phases'
+        cumulative-exposure effective ``(alpha, b)``: the mission formula."""
         scenario = Scenario(
             phases=(
                 StressPhase(name="idle", fraction=0.6, temperature_c=60.0),
@@ -73,22 +75,23 @@ class TestResidencyComposition:
             composition="residency",
         )
         engine = ScenarioAnalyzer(small_analyzer, scenario)
-        mission = mission_analyzer(
-            small_analyzer,
-            MissionProfile(
-                phases=(
-                    OperatingPhase(
-                        name="idle", fraction=0.6, block_temperatures=60.0
-                    ),
-                    OperatingPhase(
-                        name="turbo", fraction=0.4, block_temperatures=95.0
-                    ),
-                )
-            ),
+        n_blocks = small_analyzer.floorplan.n_blocks
+        params = [
+            small_analyzer.obd_model.block_params(
+                np.full(n_blocks, temp), small_analyzer.config.vdd
+            )
+            for temp in (60.0, 95.0)
+        ]
+        alpha_eff, b_eff = effective_block_params(
+            scenario.fractions,
+            np.array([[prm.alpha for prm in phase] for phase in params]),
+            np.array([[prm.b for prm in phase] for phase in params]),
         )
         assert np.array_equal(
             engine.reliability(TIMES),
-            np.atleast_1d(mission.reliability(TIMES)),
+            small_analyzer.st_fast.reliability(
+                TIMES, alphas=alpha_eff, bs=b_eff
+            ),
         )
 
     def test_phase_damage_matches_residency_weights(self, small_analyzer):

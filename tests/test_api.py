@@ -50,7 +50,6 @@ class TestPublicApi:
             "repro.core.montecarlo",
             "repro.core.lifetime",
             "repro.core.analyzer",
-            "repro.core.mission",
             "repro.core.burnin",
             "repro.core.sensitivity",
             "repro.leakage.degradation",

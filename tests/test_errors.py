@@ -12,7 +12,6 @@ import pytest
 
 from repro import units
 from repro.chip.benchmarks import make_benchmark
-from repro.core.mission import OperatingPhase
 from repro.errors import (
     ConfigurationError,
     FloorplanError,
@@ -21,6 +20,7 @@ from repro.errors import (
     SolverError,
     UnitError,
 )
+from repro.scenario import StressPhase
 from repro.stats.weibull import AreaScaledWeibull
 
 _ALL_ERRORS = (
@@ -81,7 +81,7 @@ class TestApiErrorsAreCatchable:
 
     def test_mission_phase_validation(self):
         with pytest.raises(ReproError):
-            OperatingPhase(name="", fraction=0.5, block_temperatures=85.0)
+            StressPhase(name="", fraction=0.5, temperature_c=85.0)
 
     def test_weibull_validation(self):
         with pytest.raises(ReproError):

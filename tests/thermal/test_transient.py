@@ -52,7 +52,7 @@ class TestTransientSolver:
         assert hottest[-1] < 100.0
 
     def test_time_constant_separation_from_obd_scales(self, solver):
-        # The premise of using per-phase steady states in mission
+        # The premise of using per-phase steady states in scenario
         # analysis: thermal settling is sub-second, OBD scales are years.
         assert solver.time_constant < solver.slowest_time_constant
         assert solver.slowest_time_constant < 1.0
