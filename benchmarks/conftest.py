@@ -42,6 +42,19 @@ def is_full_scale() -> bool:
     return bench_scale() == "full"
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_artifact_cache(tmp_path_factory) -> None:
+    """Point the kernels artifact cache at a per-session scratch dir.
+
+    A ``canonical_model`` entry another process wrote under another BLAS
+    thread count carries another PCA basis, which moves the Monte-Carlo
+    numbers the reports commit; so the harness never reads (or fills) the
+    developer's ``~/.cache/repro/artifacts``.
+    """
+    root = tmp_path_factory.mktemp("artifact-cache")
+    os.environ["REPRO_ARTIFACT_CACHE_DIR"] = str(root)
+
+
 @pytest.fixture(scope="session")
 def scale() -> str:
     """Fixture form of :func:`bench_scale`."""

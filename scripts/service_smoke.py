@@ -8,10 +8,13 @@ The CI ``service-smoke`` job runs this against a real subprocess:
 2. hit ``/healthz`` and ``/readyz``;
 3. submit a tiny lifetime job, poll it to completion, and assert the
    result body is byte-identical to the equivalent CLI invocation;
-4. submit a two-phase multi-mechanism scenario job and assert the same
+4. submit a second job for the same design at another ppm: the server
+   serves it from its stored design model, and the result is still
+   byte-identical to the CLI's;
+5. submit a two-phase multi-mechanism scenario job and assert the same
    byte-identity against ``repro scenario run --json``;
-5. check ``/metrics`` exposes the job counters;
-6. submit a long Monte-Carlo job, send SIGTERM mid-run, and assert the
+6. check ``/metrics`` exposes the job counters and a design-store hit;
+7. submit a long Monte-Carlo job, send SIGTERM mid-run, and assert the
    server drains and exits cleanly (checkpointing the interrupted job).
 
 Exit code 0 means every step passed.
@@ -31,6 +34,8 @@ import urllib.request
 
 TINY_JOB = {"kind": "lifetime", "design": "C1", "grid": 6}
 TINY_CLI = ["lifetime", "--design", "C1", "--grid", "6", "--json"]
+STORED_JOB = {"kind": "lifetime", "design": "C1", "grid": 6, "ppm": 50.0}
+STORED_CLI = [*TINY_CLI, "--ppm", "50"]
 LONG_MC_JOB = {
     "kind": "lifetime",
     "design": "C1",
@@ -100,6 +105,14 @@ def _wait_done(base: str, job_id: str, timeout: float = 120.0) -> str:
     raise SystemExit(f"job {job_id} did not finish within {timeout}s")
 
 
+def _metric(body: bytes, name: str) -> float:
+    """One sample's value from a ``/metrics`` exposition (0 when absent)."""
+    for line in body.decode("utf-8").splitlines():
+        if line.startswith(f"{name} "):
+            return float(line.split()[1])
+    return 0.0
+
+
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise SystemExit(f"FAIL: {message}")
@@ -135,6 +148,24 @@ def smoke_round_trip(checkpoint_dir: str) -> None:
         _check(
             http_body.decode("utf-8") == cli.stdout,
             "HTTP result is byte-identical to the CLI payload",
+        )
+
+        status, body = _call(
+            "POST", f"{base}/v1/jobs", json.dumps(STORED_JOB).encode()
+        )
+        _check(status == 201, "second job on the same design returns 201")
+        job_id = json.loads(body)["id"]
+        _check(_wait_done(base, job_id) == "done", "second job completes")
+        _, http_body = _call("GET", f"{base}/v1/jobs/{job_id}/result")
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro", *STORED_CLI],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        _check(
+            http_body.decode("utf-8") == cli.stdout,
+            "stored-design result is byte-identical to the CLI payload",
         )
 
         status, body = _call(
@@ -180,6 +211,14 @@ def smoke_round_trip(checkpoint_dir: str) -> None:
         _check(
             b"repro_service_jobs_completed_total" in body,
             "metrics expose job counters",
+        )
+        _check(
+            _metric(body, "repro_analyzer_store_hit_total") >= 1,
+            "the second job was served from the design store",
+        )
+        _check(
+            _metric(body, "repro_analyzer_store_entries") >= 1,
+            "metrics show at least one stored design",
         )
     finally:
         process.send_signal(signal.SIGTERM)

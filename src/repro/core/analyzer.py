@@ -20,9 +20,10 @@ the operating point, and :meth:`ReliabilityAnalyzer.at` moves it.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from typing import Any, Generic, TypeVar, overload
 
 import numpy as np
 
@@ -61,6 +62,67 @@ from repro.variation.sampling import ChipSampler
 METHODS = ("st_fast", "st_mc", "hybrid", "temp_unaware", "guard", "mc")
 
 logger = get_logger("core.analyzer")
+
+_T = TypeVar("_T")
+
+
+class _built_once(Generic[_T]):
+    """``functools.cached_property``, built once per instance under its lock.
+
+    ``cached_property`` takes no lock from Python 3.12 on, so two threads
+    sharing a design could both build one part; up to 3.11 it holds one
+    lock per class attribute, so one design's rule build would block every
+    other design's.  Here each instance builds under its own re-entrant
+    ``_build_lock`` (one part may read another), and hands each built
+    value to its ``_charge`` hook: the design store's byte count, or
+    ``None``.
+    """
+
+    def __init__(self, build: Callable[[Any], _T]) -> None:
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    @overload
+    def __get__(self, instance: None, owner: type) -> _built_once[_T]: ...
+
+    @overload
+    def __get__(self, instance: object, owner: type) -> _T: ...
+
+    def __get__(self, instance: Any, owner: type) -> _T | _built_once[_T]:
+        if instance is None:
+            return self
+        with instance._build_lock:
+            built = instance.__dict__
+            if self.name not in built:
+                part = self.build(instance)
+                if instance._charge is not None:
+                    instance._charge(part)
+                built[self.name] = part
+            value: _T = built[self.name]
+            return value
+
+
+class _SharedParts:
+    """The lock and the store hook behind :class:`_built_once` parts.
+
+    Neither pickles: a copy gets a fresh lock and no hook.
+    """
+
+    _charge: Callable[[object], None] | None = None
+
+    def __init__(self) -> None:
+        self._build_lock = threading.RLock()
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_build_lock"]
+        state.pop("_charge", None)
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._build_lock = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -146,11 +208,12 @@ class AnalysisConfig:
     include_residual_fluctuation: bool = True
 
 
-class DesignModel:
+class DesignModel(_SharedParts):
     """The temperature-free half of an analysis, shared by every operating point.
 
     Grid, canonical model, sampler and BLODs are built on construction;
-    the rule tables and the st_mc sample cloud on first use.
+    the rule tables, the st_mc sample cloud and the execution backend on
+    first use, once, however many threads share the model.
     """
 
     def __init__(
@@ -160,6 +223,7 @@ class DesignModel:
         config: AnalysisConfig,
         mean_offsets: np.ndarray | None = None,
     ) -> None:
+        super().__init__()
         self.floorplan = floorplan
         self.budget = budget
         self.config = config
@@ -210,19 +274,19 @@ class DesignModel:
             self.blods, cfg.l0, cfg.tail, rule, cfg.include_residual_fluctuation
         )
 
-    @cached_property
+    @_built_once
     def st_fast_tables(self) -> RuleTables:
         """st_fast's rule tables under the configured integration rule."""
         return self._rule_tables(self.config.integration_rule)
 
-    @cached_property
+    @_built_once
     def midpoint_tables(self) -> RuleTables:
         """The hybrid's midpoint tables: st_fast's under the midpoint rule."""
         if self.config.integration_rule == "midpoint":
             return self.st_fast_tables
         return self._rule_tables("midpoint")
 
-    @cached_property
+    @_built_once
     def sample_cloud(self) -> tuple[np.ndarray, np.ndarray]:
         """The st_mc sample cloud, drawn once per design."""
         cfg = self.config
@@ -231,18 +295,29 @@ class DesignModel:
             backend=self.exec_backend, shard_size=cfg.mc_shard_size,
         )
 
-    @cached_property
+    @_built_once
     def exec_backend(self) -> ExecBackend:
         """The execution backend shared by the sampled engines."""
         cfg = self.config
         return resolve_backend(cfg.exec_backend, cfg.exec_jobs)
 
+    def close(self, wait: bool = True) -> None:
+        """Shut the backend's worker pool down, if one was started.
 
-class _OperatingPoint:
+        ``wait=False`` returns at once; tasks another thread has already
+        submitted still run.
+        """
+        backend = self.__dict__.get("exec_backend")
+        if backend is not None:
+            backend.close(wait=wait)
+
+
+class _OperatingPoint(_SharedParts):
     """A :class:`DesignModel` at one operating point: block temperatures and vdd.
 
     They give every block's Weibull :attr:`alphas` and :attr:`bs`, where
-    every method evaluates the design model.
+    every method evaluates the design model.  The method analyzers are
+    built on first use, once, however many threads share the point.
     """
 
     def __init__(
@@ -253,7 +328,8 @@ class _OperatingPoint:
         block_temperatures: np.ndarray,
         thermal: ThermalResult | None = None,
     ) -> None:
-        """Bind ``design`` at one operating point: the step ``__init__`` and :meth:`at` end with."""
+        """Bind ``design`` at one operating point: the step every point ends with."""
+        super().__init__()
         self.design = design
         self.floorplan = design.floorplan
         self.budget = design.budget
@@ -288,24 +364,22 @@ class _OperatingPoint:
         (rule tables, sample cloud): nothing temperature-free is rebuilt.
         """
         config = self.config if vdd is None else replace(self.config, vdd=vdd)
-        point = ReliabilityAnalyzer.__new__(ReliabilityAnalyzer)
-        _OperatingPoint.__init__(
-            point, self.design, self.obd_model, config, block_temperatures
+        return operating_point(
+            self.design, self.obd_model, config, block_temperatures
         )
-        return point
 
     # ------------------------------------------------------------------
     # Lazily constructed per-method analyzers
     # ------------------------------------------------------------------
 
-    @cached_property
+    @_built_once
     def st_fast(self) -> StFastAnalyzer:
         """The marginal-product statistical analyzer."""
         return StFastAnalyzer(
             self.blocks, rule_tables=self.design.st_fast_tables
         )
 
-    @cached_property
+    @_built_once
     def st_mc(self) -> StMcAnalyzer:
         """The numerical-joint-PDF statistical analyzer."""
         cfg = self.config
@@ -316,7 +390,7 @@ class _OperatingPoint:
             cloud=self.design.sample_cloud,
         )
 
-    @cached_property
+    @_built_once
     def hybrid(self) -> HybridAnalyzer:
         """The table-look-up analyzer (``b`` axis centred on this point)."""
         cfg = self.config
@@ -327,19 +401,23 @@ class _OperatingPoint:
             rule_tables=self.design.midpoint_tables,
         )
 
-    @cached_property
+    @_built_once
     def worst_case(self) -> tuple[np.ndarray, np.ndarray]:
         """temp_unaware's ``(alphas, bs)``: the hottest block's pair on every block.
 
         The hottest block has the smallest ``alpha`` (the first on ties).
+        Both arrays are read-only.
         """
         hottest = int(np.argmin(self.alphas))
-        return (
+        pair = (
             np.full(self.alphas.size, self.alphas[hottest]),
             np.full(self.bs.size, self.bs[hottest]),
         )
+        for values in pair:
+            values.setflags(write=False)
+        return pair
 
-    @cached_property
+    @_built_once
     def temp_unaware(self) -> StFastAnalyzer:
         """Fig. 10's worst-case-temperature analysis: st_fast at :attr:`worst_case`."""
         alpha, b = (float(values[0]) for values in self.worst_case)
@@ -348,7 +426,7 @@ class _OperatingPoint:
             rule_tables=self.design.st_fast_tables,
         )
 
-    @cached_property
+    @_built_once
     def guard(self) -> GuardBandAnalyzer:
         """The traditional guard-band baseline."""
         worst_temp = float(np.max(self.block_temperatures))
@@ -365,7 +443,7 @@ class _OperatingPoint:
         """The execution backend shared by the sampled engines."""
         return self.design.exec_backend
 
-    @cached_property
+    @_built_once
     def mc_engine(self) -> MonteCarloEngine:
         """The Monte-Carlo reference engine."""
         cfg = self.config
@@ -628,13 +706,7 @@ class ReliabilityAnalyzer(_OperatingPoint):
             with span("thermal"):
                 thermal = None
                 if block_temperatures is None:
-                    if floorplan.total_power > 0.0:
-                        model = thermal_model or HotSpotLite()
-                        thermal = model.analyze(floorplan)
-                    else:
-                        thermal = uniform_temperature_result(
-                            floorplan, obd_model.t_ref
-                        )
+                    thermal = own_thermal(floorplan, obd_model, thermal_model)
                     block_temperatures = thermal.block_temperatures
             design = DesignModel(floorplan, budget, config, mean_offsets)
             super().__init__(
@@ -646,6 +718,40 @@ class ReliabilityAnalyzer(_OperatingPoint):
             floorplan.n_devices,
             self.canonical.n_factors,
         )
+
+
+def own_thermal(
+    floorplan: Floorplan,
+    obd_model: OBDModel,
+    thermal_model: HotSpotLite | None = None,
+) -> ThermalResult:
+    """The design's own operating point: its block powers' thermal solution.
+
+    A floorplan that carries no power at all puts every block at the OBD
+    model's reference temperature.
+    """
+    if floorplan.total_power > 0.0:
+        return (thermal_model or HotSpotLite()).analyze(floorplan)
+    return uniform_temperature_result(floorplan, obd_model.t_ref)
+
+
+def operating_point(
+    design: DesignModel,
+    obd_model: OBDModel,
+    config: AnalysisConfig,
+    block_temperatures: np.ndarray,
+    thermal: ThermalResult | None = None,
+) -> ReliabilityAnalyzer:
+    """An analyzer of ``design`` at one operating point, built without the constructor.
+
+    It shares everything temperature-free with every other point of
+    ``design``: nothing is rebuilt.
+    """
+    point = ReliabilityAnalyzer.__new__(ReliabilityAnalyzer)
+    _OperatingPoint.__init__(
+        point, design, obd_model, config, block_temperatures, thermal
+    )
+    return point
 
 
 def build_analyzer(
@@ -660,7 +766,11 @@ def build_analyzer(
 
     A ``setup`` (budget, OBD model, config) brings its own config in place
     of ``grid_size``/``rho_dist``; ``vdd`` and ``exec_jobs`` override it.
+    The analyzer is the design's own operating point, served from the
+    process-wide design store (:mod:`repro.core.store`).
     """
+    from repro.core.store import stored_analyzer
+
     budget: VariationBudget | None = None
     obd_model: OBDModel | None = None
     if setup is None:
@@ -671,6 +781,4 @@ def build_analyzer(
         config = replace(config, vdd=vdd)
     if exec_jobs is not None:
         config = replace(config, exec_jobs=exec_jobs)
-    return ReliabilityAnalyzer(
-        floorplan, budget=budget, obd_model=obd_model, config=config
-    )
+    return stored_analyzer(floorplan, budget, obd_model, config)

@@ -26,6 +26,7 @@ Pools are created lazily and reused across calls; they are shut down on
 from __future__ import annotations
 
 import os
+import threading
 import weakref
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -81,8 +82,13 @@ class ExecBackend:
             out[index] = result
         return out
 
-    def close(self) -> None:
-        """Release any pooled workers (idempotent)."""
+    def close(self, wait: bool = True) -> None:
+        """Release any pooled workers (idempotent).
+
+        ``wait=False`` returns at once; tasks already submitted, by another
+        thread sharing the backend too, still run, and a later call starts
+        a new pool.
+        """
 
     def _record(self, n_tasks: int) -> None:
         metrics.inc("exec.tasks", n_tasks)
@@ -116,11 +122,13 @@ class _PoolBackend(ExecBackend):
         super().__init__(jobs=jobs)
         self._pool: Executor | None = None
         self._finalizer: weakref.finalize | None = None
+        self._lock = threading.Lock()
 
     def _make_pool(self) -> Executor:
         raise NotImplementedError
 
     def _ensure_pool(self) -> Executor:
+        """The live pool, started on first use; the caller holds the lock."""
         if self._pool is None:
             self._pool = self._make_pool()
             self._finalizer = weakref.finalize(
@@ -132,14 +140,15 @@ class _PoolBackend(ExecBackend):
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> Iterator[tuple[int, Any]]:
         self._record(len(items))
-        pool = self._ensure_pool()
         with span(
             "exec.map", backend=self.name, tasks=len(items), jobs=self.jobs
         ):
-            futures = {
-                pool.submit(fn, item): index
-                for index, item in enumerate(items)
-            }
+            with self._lock:  # close() cannot shut the pool between submits
+                pool = self._ensure_pool()
+                futures = {
+                    pool.submit(fn, item): index
+                    for index, item in enumerate(items)
+                }
             try:
                 for future in _as_completed(futures):
                     yield futures[future], future.result()
@@ -147,11 +156,14 @@ class _PoolBackend(ExecBackend):
                 for future in futures:
                     future.cancel()
 
-    def close(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._pool = None
+    def close(self, wait: bool = True) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+            if self._finalizer is not None:
+                self._finalizer.detach()
+                self._finalizer = None
+        if pool is not None:
+            pool.shutdown(wait=wait)
 
     def __getstate__(self) -> dict[str, Any]:
         # Engines that carry their backend must stay picklable for the
@@ -163,6 +175,7 @@ class _PoolBackend(ExecBackend):
         self.jobs = state["jobs"]
         self._pool = None
         self._finalizer = None
+        self._lock = threading.Lock()
 
 
 def _shutdown_pool(pool: Executor) -> None:

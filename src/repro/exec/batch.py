@@ -19,9 +19,11 @@ from typing import Any
 import numpy as np
 
 from repro.chip.benchmarks import BENCHMARK_DEVICE_COUNTS, make_benchmark
+from repro.chip.floorplan import Floorplan
 from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
 from repro.core.ensemble import StFastAnalyzer, sweep_reliabilities
 from repro.core.lifetime import ppm_to_reliability, solve_lifetime
+from repro.core.store import stored_analyzer
 from repro.errors import ConfigurationError
 from repro.exec.backends import ExecBackend
 from repro.exec.cache import ResultCache, fingerprint
@@ -263,8 +265,10 @@ def run_batch(
     (``exec.cache.hit``); fresh results are stored on the way out.  The MC
     reference method runs through ``backend`` when one is given.
 
-    Each design gets one analyzer; its other temperatures are operating
-    points of it (:meth:`ReliabilityAnalyzer.at`).  The temperature axis of
+    Each design's model comes from the process-wide design store
+    (:mod:`repro.core.store`), so a later sweep of the same design builds
+    none of it; every temperature is an operating point on it, and a
+    design's own profile is its stored own point.  The temperature axis of
     ``st_fast`` / ``temp_unaware`` cells is evaluated through one fused
     kernel dispatch per design and bracketing rung (bit-identical results;
     see :func:`_fused_group_lifetimes`); other methods fall back
@@ -277,24 +281,22 @@ def run_batch(
         exec_backend=backend.name if backend else None,
         exec_jobs=backend.jobs if backend else None,
     )
-    designs: dict[str, ReliabilityAnalyzer] = {}
+    floorplans: dict[str, Floorplan] = {}
     points: dict[tuple[str, float | None], ReliabilityAnalyzer] = {}
 
     def analyzer_at(design: str, temperature_c: float | None) -> ReliabilityAnalyzer:
         """The design's analyzer at one uniform temperature (``None``: its own)."""
         key = (design, temperature_c)
         if key not in points:
-            base = designs.get(design)
-            floorplan = base.floorplan if base is not None else make_benchmark(design)
+            if design not in floorplans:
+                floorplans[design] = make_benchmark(design)
+            floorplan = floorplans[design]
             temps = None
             if temperature_c is not None:
                 temps = np.full(floorplan.n_blocks, float(temperature_c))
-            if base is None:
-                points[key] = designs[design] = ReliabilityAnalyzer(
-                    floorplan, config=config, block_temperatures=temps
-                )
-            else:
-                points[key] = base.at(temps)
+            points[key] = stored_analyzer(
+                floorplan, config=config, block_temperatures=temps
+            )
         return points[key]
 
     results: list[_CellResult] = []
@@ -354,7 +356,7 @@ def run_batch(
                     ]
                     target = ppm_to_reliability(spec.ppm)
                     solved = _fused_group_lifetimes(
-                        designs[cell["design"]].st_fast,
+                        group_points[0].st_fast,
                         [
                             (point.alphas, point.bs)
                             if cell["method"] == "st_fast"

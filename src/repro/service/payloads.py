@@ -13,6 +13,7 @@ import math
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
+from repro.core.store import design_store_stats
 from repro.kernels.artifacts import get_artifact_cache
 from repro.payloads import stamp_envelope
 from repro.thermal.factor_cache import factor_cache_stats, mesh_map_stats
@@ -114,9 +115,9 @@ def _escape_help(text: str) -> str:
 def _cache_health_gauges(manager: JobManager | None) -> dict[str, float]:
     """Hot-path cache health, derived at render time.
 
-    Hit ratios come from the always-current obs counters; the on-disk
-    entry count is sampled from the manager's :class:`ResultCache` (a
-    cheap directory walk).
+    Hit ratios come from the always-current obs counters, or the
+    in-process caches' own counts; the on-disk entry count is sampled
+    from the manager's :class:`ResultCache` (a cheap directory walk).
     """
     gauges: dict[str, float] = {}
     hits = obs.get_counter("exec.cache.hit")
@@ -128,7 +129,10 @@ def _cache_health_gauges(manager: JobManager | None) -> dict[str, float]:
         tier_misses = obs.get_counter(counters["miss"])
         if tier_hits + tier_misses > 0:
             gauges[tier_gauge] = tier_hits / (tier_hits + tier_misses)
+    store = design_store_stats()
+    gauges["analyzer.store.bytes"] = float(store["bytes"])
     for prefix, cache_stats in (
+        ("analyzer.store", store),
         ("thermal.factor_cache", factor_cache_stats()),
         ("thermal.mesh_map", mesh_map_stats()),
     ):

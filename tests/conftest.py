@@ -36,6 +36,16 @@ def _isolated_artifact_cache(tmp_path_factory) -> None:
     os.environ["REPRO_ARTIFACT_CACHE_DIR"] = str(root)
 
 
+@pytest.fixture(autouse=True)
+def _empty_design_store() -> None:
+    """Start every test with an empty design store, as a one-shot CLI
+    process does: a design an earlier test stored would otherwise serve
+    this one without its set-up spans or artifact reads."""
+    from repro.core.store import clear_design_store
+
+    clear_design_store()
+
+
 @pytest.fixture(scope="session")
 def budget() -> VariationBudget:
     """The paper's Table II variation budget."""

@@ -33,6 +33,7 @@ from repro.core.analyzer import ReliabilityAnalyzer
 from repro.core.ensemble import StFastAnalyzer
 from repro.core.hybrid import HybridAnalyzer
 from repro.core.lifetime import ppm_to_reliability, solve_lifetime
+from repro.core.store import clear_design_store
 from repro.exec.batch import SweepSpec, run_batch
 from repro.power.activity import ActivityProfile, available_presets
 from repro.power.loop import solve_power_thermal
@@ -40,23 +41,34 @@ from repro.service.requests import JobRequest, run_job
 from repro.thermal.factor_cache import clear_factor_cache
 from repro.thermal.hotspot import HotSpotLite
 
-#: Counters read from one cold and one warm ``run_job`` build, and from one
-#: fixed-time st_fast reliability call.
+#: Counters read from three ``run_job`` calls, then one fixed-time st_fast
+#: reliability call.  ``cold`` starts from an empty design store and
+#: artifact cache.  ``store_warm`` finds the design stored: it reads no
+#: artifact and builds no BLOD or PCA factor.  ``artifact_warm`` runs after
+#: the store is cleared, so the design is rebuilt from the warm artifact.
+_COUNTERS = (
+    "kernels.artifacts.hit",
+    "kernels.artifacts.miss",
+    "kernels.artifacts.store",
+    "analyzer.store.hit",
+    "analyzer.store.miss",
+    "blod.blocks",
+    "pca.factors",
+)
+
+
+def _steps(blocks: int, factors: int) -> dict[str, tuple[int, ...]]:
+    """Each step's :data:`_COUNTERS`, in order."""
+    return {
+        "cold": (0, 2, 2, 0, 1, blocks, factors),
+        "store_warm": (0, 0, 0, 1, 0, 0, 0),
+        "artifact_warm": (1, 0, 0, 0, 1, blocks, factors),
+    }
+
+
 GOLDEN = {
-    ("C1", 10): {
-        "cold": {"hit": 0, "miss": 2, "store": 2},
-        "warm": {"hit": 1, "miss": 0, "store": 0},
-        "blod.blocks": 8,
-        "pca.factors": 101,
-        "integration.subdomain_evals": 800,
-    },
-    ("C3", 25): {
-        "cold": {"hit": 0, "miss": 2, "store": 2},
-        "warm": {"hit": 1, "miss": 0, "store": 0},
-        "blod.blocks": 12,
-        "pca.factors": 624,
-        "integration.subdomain_evals": 1200,
-    },
+    ("C1", 10): {**_steps(8, 101), "integration.subdomain_evals": 800},
+    ("C3", 25): {**_steps(12, 624), "integration.subdomain_evals": 1200},
 }
 
 
@@ -74,15 +86,14 @@ def test_work_counters(design, grid, tmp_path, monkeypatch):
     request = JobRequest.from_dict(
         {"kind": "lifetime", "design": design, "grid": grid, "methods": ["st_fast"]}
     )
-    for build in ("cold", "warm"):
+    for step in ("cold", "store_warm", "artifact_warm"):
+        if step == "artifact_warm":
+            clear_design_store()
         counters = _counters(lambda: run_job(request))
-        artifacts = {
-            name: counters.get(f"kernels.artifacts.{name}", 0.0)
-            for name in ("hit", "miss", "store")
-        }
-        assert artifacts == golden[build], build
-        assert counters["blod.blocks"] == golden["blod.blocks"]
-        assert counters["pca.factors"] == golden["pca.factors"]
+        got = tuple(counters.get(name, 0.0) for name in _COUNTERS)
+        assert dict(zip(_COUNTERS, got, strict=True)) == dict(
+            zip(_COUNTERS, golden[step], strict=True)
+        ), step
 
     analyzer = request.build_analyzer()
     counters = _counters(lambda: analyzer.reliability(1e5, method="st_fast"))
@@ -90,6 +101,45 @@ def test_work_counters(design, grid, tmp_path, monkeypatch):
         counters["integration.subdomain_evals"]
         == golden["integration.subdomain_evals"]
     )
+
+
+#: A service-shaped stream: 20 lifetime, curve and scenario jobs over three
+#: designs at several ppm, vdd and methods.  Each design is built once.
+SERVICE_GOLDEN = {"analyzer.store.miss": 3, "analyzer.setup": 3}
+
+
+def test_service_jobs_build_each_design_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_ARTIFACT_CACHE_DIR", str(tmp_path / "artifacts"))
+    designs = (("C1", 10), ("C2", 15), ("C3", 25))
+    docs = []
+    for i in range(20):
+        design, grid = designs[i % 3]
+        doc = {"design": design, "grid": grid, "ppm": float(1 + i)}
+        if i % 4 == 1:
+            doc.update(
+                kind="curve", methods=["st_fast"], t_min=1e3, t_max=1e6, points=9
+            )
+        elif i % 4 == 2:
+            doc.update(
+                kind="scenario",
+                scenario={"phases": [{"name": "field"}], "mechanisms": ["obd"]},
+            )
+        else:
+            doc.update(kind="lifetime", methods=["st_fast", "hybrid"])
+            if i % 4 == 3:
+                doc["vdd"] = 1.25
+        docs.append(JobRequest.from_dict(doc))
+    obs.reset()
+    with obs.enabled():
+        for request in docs:
+            run_job(request)
+        names = _span_names(obs.trace_snapshot())
+        counters = obs.metrics_snapshot()["counters"]
+    assert {
+        "analyzer.store.miss": counters.get("analyzer.store.miss", 0.0),
+        "analyzer.setup": names.count("analyzer.setup"),
+    } == SERVICE_GOLDEN
+    assert counters["analyzer.store.hit"] == 17
 
 
 #: One fresh design_sweep-shaped sweep: C1 on a 15x15 grid at two uniform

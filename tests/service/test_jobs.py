@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.store import clear_design_store, design_store_stats
 from repro.errors import AdmissionError, ServiceError
 from repro.exec.cache import ResultCache
 from repro.payloads import dump_payload
@@ -232,7 +233,32 @@ class TestConcurrentJobs:
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE_DIR", str(tmp_path / "serial"))
         serial = [dump_payload(run_job(request)) for request in requests]
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE_DIR", str(tmp_path / "pool"))
+        clear_design_store()
+        assert self._run_side_by_side(requests) == serial
 
+    def test_two_vdds_on_one_cold_design_match_serial(self):
+        """Two jobs ask for one cold design at two supply voltages: one
+        builds it, the other waits for it, and each reads its serial bytes
+        at its own operating point."""
+        requests = [
+            JobRequest.from_dict({
+                "kind": "lifetime", "design": "C2", "grid": 10,
+                "methods": ["st_fast", "hybrid", "temp_unaware"], "vdd": vdd,
+            })
+            for vdd in (1.1, 1.3)
+        ]
+        serial = []
+        for request in requests:
+            clear_design_store()
+            serial.append(dump_payload(run_job(request)))
+        clear_design_store()
+        assert self._run_side_by_side(requests) == serial
+        stats = design_store_stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
+
+    @staticmethod
+    def _run_side_by_side(requests: list[JobRequest]) -> list[str]:
+        """The requests' payloads from a two-worker pool, started together."""
         barrier = threading.Barrier(2, timeout=60.0)
 
         def compute(request, **kwargs):
@@ -249,7 +275,7 @@ class TestConcurrentJobs:
             ), [(job.state, job.error) for job in jobs]
         finally:
             manager.shutdown(drain_timeout=10.0)
-        assert [dump_payload(job.result) for job in jobs] == serial
+        return [dump_payload(job.result) for job in jobs]
 
 
 class TestProgress:

@@ -210,6 +210,31 @@ class TestCacheHealthGauges:
         assert families["repro_thermal_mesh_map_entries"] == "gauge"
         assert families["repro_thermal_mesh_map_hit_ratio"] == "gauge"
 
+    def test_design_store_entries_bytes_and_ratio(self):
+        from repro.chip.benchmarks import make_benchmark
+        from repro.core.analyzer import AnalysisConfig
+        from repro.core.store import design_store_stats, stored_analyzer
+
+        obs.enable()
+        text = render_metrics_text()
+        assert "repro_analyzer_store_entries 0" in text
+        assert "repro_analyzer_store_bytes 0" in text
+        assert "repro_analyzer_store_hit_ratio" not in text
+        floorplan = make_benchmark("C1")
+        for _ in range(4):  # one miss, then three hits on the same design
+            stored_analyzer(floorplan, config=AnalysisConfig(grid_size=6))
+        text = render_metrics_text()
+        assert "repro_analyzer_store_entries 1" in text
+        assert "repro_analyzer_store_hit_ratio 0.75" in text
+        stored = design_store_stats()["bytes"]
+        assert stored > 0
+        assert f"repro_analyzer_store_bytes {stored}" in text
+        families = lint_exposition(text)
+        for family in ("entries", "bytes", "hit_ratio"):
+            assert families[f"repro_analyzer_store_{family}"] == "gauge"
+        assert families["repro_analyzer_store_hit_total"] == "counter"
+        assert families["repro_analyzer_store_miss_total"] == "counter"
+
     def test_disk_entry_count_from_manager_cache(self, tmp_path, gated):
         obs.enable()
         cache = ResultCache(tmp_path / "cache")
