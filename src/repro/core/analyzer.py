@@ -43,7 +43,7 @@ from repro.core.lifetime import ppm_to_reliability, solve_lifetime
 from repro.core.montecarlo import MonteCarloEngine, ReliabilityCurve
 from repro.core.obd_model import OBDModel
 from repro.errors import ConfigurationError
-from repro.exec.backends import ExecBackend, resolve_backend
+from repro.exec.backends import ExecBackend, shared_backend
 from repro.exec.sharding import DEFAULT_SHARD_SIZE
 from repro.obs import metrics
 from repro.obs.logging import get_logger
@@ -73,9 +73,7 @@ class _built_once(Generic[_T]):
     sharing a design could both build one part; up to 3.11 it holds one
     lock per class attribute, so one design's rule build would block every
     other design's.  Here each instance builds under its own re-entrant
-    ``_build_lock`` (one part may read another), and hands each built
-    value to its ``_charge`` hook: the design store's byte count, or
-    ``None``.
+    ``_build_lock`` (one part may read another).
     """
 
     def __init__(self, build: Callable[[Any], _T]) -> None:
@@ -95,21 +93,13 @@ class _built_once(Generic[_T]):
         with instance._build_lock:
             built = instance.__dict__
             if self.name not in built:
-                part = self.build(instance)
-                if instance._charge is not None:
-                    instance._charge(part)
-                built[self.name] = part
+                built[self.name] = self.build(instance)
             value: _T = built[self.name]
             return value
 
 
 class _SharedParts:
-    """The lock and the store hook behind :class:`_built_once` parts.
-
-    Neither pickles: a copy gets a fresh lock and no hook.
-    """
-
-    _charge: Callable[[object], None] | None = None
+    """The lock behind :class:`_built_once` parts; a pickled copy gets a fresh one."""
 
     def __init__(self) -> None:
         self._build_lock = threading.RLock()
@@ -117,7 +107,6 @@ class _SharedParts:
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
         del state["_build_lock"]
-        state.pop("_charge", None)
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -297,19 +286,13 @@ class DesignModel(_SharedParts):
 
     @_built_once
     def exec_backend(self) -> ExecBackend:
-        """The execution backend shared by the sampled engines."""
-        cfg = self.config
-        return resolve_backend(cfg.exec_backend, cfg.exec_jobs)
+        """The execution backend shared by the sampled engines.
 
-    def close(self, wait: bool = True) -> None:
-        """Shut the backend's worker pool down, if one was started.
-
-        ``wait=False`` returns at once; tasks another thread has already
-        submitted still run.
+        It is the process's one backend for the configured setting, so
+        designs never hold worker pools of their own.
         """
-        backend = self.__dict__.get("exec_backend")
-        if backend is not None:
-            backend.close(wait=wait)
+        cfg = self.config
+        return shared_backend(cfg.exec_backend, cfg.exec_jobs)
 
 
 class _OperatingPoint(_SharedParts):

@@ -13,17 +13,17 @@ The CLI, service jobs, the fleet coordinator and its workers (through
   ``power_scale`` phases read its powers.  A missing design is built once,
   through the :class:`ReliabilityAnalyzer` constructor, however many
   threads ask for it; a build that raises stores nothing.
-- **Each design's own operating points**, keyed by ``(obd_model, vdd)``:
+- **Each design's own operating point**, keyed by ``(obd_model, vdd)``:
   the analyzer at the floorplan's own thermal solution, whose method
-  analyzers (hybrid table included) are built on first use.  The
-  :data:`MAX_POINTS` most recently used are kept.  A point at explicit
-  temperatures is made on the stored design and not kept.
+  analyzers (hybrid table included) are built on first use.  A design
+  keeps one; a request under another key replaces it.  A point at
+  explicit temperatures is made on the stored design and not kept.
 
-The store holds at most :data:`MAX_BYTES` of arrays.  A design is charged
-its arrays when it is stored; each part it or a kept point builds lazily,
-when that part is built.  Least recently used designs are dropped while
-the total is over the bound, and a design larger than the bound alone is
-served but not kept.  A dropped design shuts its worker pool down.
+The store holds at most :data:`MAX_BYTES` of arrays.  A design is counted
+with its point when either is stored, and again when it is next served
+after building a lazy part.  Least recently used designs are dropped
+while the total is over the bound, and a design larger than the bound
+alone is served but not kept.
 """
 
 from __future__ import annotations
@@ -49,32 +49,25 @@ from repro.variation.components import VariationBudget
 
 __all__ = [
     "MAX_BYTES",
-    "MAX_POINTS",
     "clear_design_store",
     "design_store_stats",
     "stored_analyzer",
 ]
 
-#: Bytes of arrays the store keeps over every design, part and point.
+#: Bytes of arrays the store keeps over every design and its point.
 MAX_BYTES = 128 * 2**20
-
-#: Own operating points kept per design.
-MAX_POINTS = 4
 
 _PointKey = tuple[OBDModel, float | None]
 
 
-def _array_bytes(root: object, seen: set[int], skip: set[int]) -> int:
-    """Bytes of the arrays reachable from ``root`` through repro objects.
-
-    Each array or object is visited once: ``seen`` collects their ids, and
-    ids in ``skip`` (another charge's) are not entered.
-    """
+def _array_bytes(root: object) -> int:
+    """Bytes of the arrays reachable from ``root`` through repro objects, each once."""
     total = 0
+    seen: set[int] = set()
     stack = [root]
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or id(obj) in skip:
+        if id(obj) in seen:
             continue
         if isinstance(obj, np.ndarray):
             seen.add(id(obj))
@@ -89,53 +82,27 @@ def _array_bytes(root: object, seen: set[int], skip: set[int]) -> int:
     return total
 
 
-class _Charge:
-    """The bytes charged for one stored object: a design or a kept point.
-
-    It is that object's ``_charge`` hook, called with each part the object
-    builds lazily.  A point's charge skips what its design's has counted.
-    """
-
-    def __init__(self, entry: _Entry, root: object, skip: set[int]) -> None:
-        self.entry = entry
-        self.skip = skip
-        self.seen: set[int] = set()
-        self.nbytes = _array_bytes(root, self.seen, skip)
-
-    def __call__(self, part: object) -> None:
-        with _lock:
-            self.nbytes += _array_bytes(part, self.seen, self.skip)
-            dropped = _fit(self.entry)
-        _close(dropped)
-
-
 class _Entry:
-    """One design: its build's outcome, its charge and its kept points."""
+    """One design: its build's outcome, its own point and the bytes they hold."""
 
     def __init__(self, key: tuple[Any, ...]) -> None:
         self.key = key
         self.built = threading.Event()
         self.design: DesignModel | None = None
-        self.charge: _Charge | None = None
-        self.points: OrderedDict[_PointKey, tuple[ReliabilityAnalyzer, _Charge]] = (
-            OrderedDict()
-        )
+        self.point_key: _PointKey | None = None
+        self.point: ReliabilityAnalyzer | None = None
+        self.nbytes = 0
+        self.parts = 0
 
-    def nbytes(self) -> int:
-        """Bytes charged for the design and its kept points."""
-        charges = [charge for _, charge in self.points.values()]
-        return sum(charge.nbytes for charge in (self.charge, *charges) if charge)
+    def built_parts(self) -> int:
+        """Attributes of the design and its point: each lazy part built adds one."""
+        return len(vars(self.design)) + len(vars(self.point) if self.point else ())
 
 
-#: Guards the entries in LRU order, every charge and the counts.
+#: Guards the entries in LRU order, their slots and byte counts, and the counts.
 _lock = threading.Lock()
 _entries: OrderedDict[tuple[Any, ...], _Entry] = OrderedDict()
 _counts = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def _stored_bytes() -> int:
-    """Bytes charged over every stored design; the caller holds the lock."""
-    return sum(entry.nbytes() for entry in _entries.values())
 
 
 def stored_analyzer(
@@ -175,10 +142,21 @@ def stored_analyzer(
         _counts["hits"] += 1
         if _entries.get(key) is entry:
             _entries.move_to_end(key)
+            if entry.parts != entry.built_parts():
+                _fit(entry)  # count the parts built since the last count
     metrics.inc("analyzer.store.hit")
     if block_temperatures is not None:
         return operating_point(design, obd_model, config, block_temperatures)
-    return _own_point(entry, design, obd_model, config)
+    point_key = (obd_model, config.vdd)
+    with _lock:
+        if entry.point is not None and entry.point_key == point_key:
+            return entry.point
+    thermal = own_thermal(design.floorplan, obd_model)
+    point = operating_point(
+        design, obd_model, config, thermal.block_temperatures, thermal
+    )
+    with _lock:
+        return _keep(entry, point_key, point)
 
 
 def _build(
@@ -204,101 +182,66 @@ def _build(
                 del _entries[entry.key]
         entry.built.set()
         raise
-    design = analyzer.design
     with _lock:
-        entry.charge = design._charge = _Charge(entry, design, set())
-        entry.design = design
+        entry.design = analyzer.design
         if block_temperatures is None:
             _keep(entry, (obd_model, config.vdd), analyzer)
-        dropped = _fit(entry)
+        else:
+            _fit(entry)
     entry.built.set()
-    _close(dropped)
     return analyzer
-
-
-def _own_point(
-    entry: _Entry,
-    design: DesignModel,
-    obd_model: OBDModel,
-    config: AnalysisConfig,
-) -> ReliabilityAnalyzer:
-    """``design`` at its own operating point under ``obd_model`` and ``config.vdd``."""
-    point_key = (obd_model, config.vdd)
-    with _lock:
-        kept = entry.points.get(point_key)
-        if kept is not None:
-            entry.points.move_to_end(point_key)
-            return kept[0]
-    thermal = own_thermal(design.floorplan, obd_model)
-    point = operating_point(
-        design, obd_model, config, thermal.block_temperatures, thermal
-    )
-    with _lock:
-        point = _keep(entry, point_key, point)
-        dropped = _fit(entry)
-    _close(dropped)
-    return point
 
 
 def _keep(
     entry: _Entry, point_key: _PointKey, point: ReliabilityAnalyzer
 ) -> ReliabilityAnalyzer:
-    """Keep ``point``, or the one another thread kept first; the caller holds the lock."""
-    kept = entry.points.get(point_key)
-    if kept is not None:
-        entry.points.move_to_end(point_key)
-        return kept[0]
+    """Keep ``point`` as the design's own, or the one another thread kept first.
+
+    The caller holds the lock.
+    """
+    if entry.point is not None and entry.point_key == point_key:
+        return entry.point
     for values in (point.alphas, point.bs, point.block_temperatures):
         values.setflags(write=False)
-    assert entry.charge is not None
-    charge = point._charge = _Charge(entry, point, entry.charge.seen)
-    entry.points[point_key] = (point, charge)
-    while len(entry.points) > MAX_POINTS:
-        entry.points.popitem(last=False)
+    entry.point_key, entry.point = point_key, point
+    _fit(entry)
     return point
 
 
-def _fit(entry: _Entry) -> list[DesignModel]:
-    """Drop designs until the store is within :data:`MAX_BYTES`; the caller holds the lock.
+def _fit(entry: _Entry) -> None:
+    """Count ``entry`` and drop designs until the store is within :data:`MAX_BYTES`.
 
     ``entry`` goes alone if it is larger than the bound, else the least
-    recently used built designs go.  Returns the dropped designs.
+    recently used built designs go.  The caller holds the lock.
     """
     if _entries.get(entry.key) is not entry:
-        return []
-    victims = [entry] if entry.nbytes() > MAX_BYTES else []
-    total = _stored_bytes() - sum(victim.nbytes() for victim in victims)
+        return
+    entry.parts = entry.built_parts()
+    entry.nbytes = _array_bytes((entry.design, entry.point))
+    victims = [entry] if entry.nbytes > MAX_BYTES else []
+    total = sum(stored.nbytes for stored in _entries.values())
+    total -= sum(victim.nbytes for victim in victims)
     for other in _entries.values():
         if total <= MAX_BYTES:
             break
         if other is not entry and other.design is not None:
             victims.append(other)
-            total -= other.nbytes()
+            total -= other.nbytes
     for victim in victims:
         del _entries[victim.key]
         _counts["evictions"] += 1
         metrics.inc("analyzer.store.evict")
-    return [victim.design for victim in victims if victim.design is not None]
-
-
-def _close(designs: list[DesignModel]) -> None:
-    """Shut dropped designs' worker pools down without waiting on their tasks."""
-    for design in designs:
-        design.close(wait=False)
 
 
 def design_store_stats() -> dict[str, int]:
     """Lifetime ``hits``, ``misses`` and ``evictions``; stored ``entries`` and ``bytes``."""
     with _lock:
-        return {**_counts, "entries": len(_entries), "bytes": _stored_bytes()}
+        nbytes = sum(entry.nbytes for entry in _entries.values())
+        return {**_counts, "entries": len(_entries), "bytes": nbytes}
 
 
 def clear_design_store() -> None:
-    """Drop every design, shut its worker pool down and zero the counts (tests)."""
+    """Drop every design and zero the counts (tests)."""
     with _lock:
-        entries = list(_entries.values())
         _entries.clear()
         _counts.update(hits=0, misses=0, evictions=0)
-    for entry in entries:
-        if entry.design is not None:
-            entry.design.close()

@@ -20,7 +20,10 @@ or set ``REPRO_EXEC_BACKEND`` (``serial``/``thread``/``process``) and
 picks ``process``, the backend that helps the Monte-Carlo loops most.
 
 Pools are created lazily and reused across calls; they are shut down on
-:meth:`ExecBackend.close` or interpreter exit.
+:meth:`ExecBackend.close` or interpreter exit.  :func:`shared_backend`
+hands every caller in a process the same backend for one setting, so
+however many design models a process keeps, it runs at most one pool per
+setting.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
+    "close_shared_backends",
     "resolve_backend",
     "resolve_jobs",
+    "shared_backend",
 ]
 
 #: Recognised backend names, in the order shown to users.
@@ -82,13 +87,8 @@ class ExecBackend:
             out[index] = result
         return out
 
-    def close(self, wait: bool = True) -> None:
-        """Release any pooled workers (idempotent).
-
-        ``wait=False`` returns at once; tasks already submitted, by another
-        thread sharing the backend too, still run, and a later call starts
-        a new pool.
-        """
+    def close(self) -> None:
+        """Release any pooled workers (idempotent)."""
 
     def _record(self, n_tasks: int) -> None:
         metrics.inc("exec.tasks", n_tasks)
@@ -143,7 +143,7 @@ class _PoolBackend(ExecBackend):
         with span(
             "exec.map", backend=self.name, tasks=len(items), jobs=self.jobs
         ):
-            with self._lock:  # close() cannot shut the pool between submits
+            with self._lock:  # threads sharing the backend start one pool
                 pool = self._ensure_pool()
                 futures = {
                     pool.submit(fn, item): index
@@ -156,14 +156,12 @@ class _PoolBackend(ExecBackend):
                 for future in futures:
                     future.cancel()
 
-    def close(self, wait: bool = True) -> None:
+    def close(self) -> None:
         with self._lock:
-            pool, self._pool = self._pool, None
             if self._finalizer is not None:
-                self._finalizer.detach()
+                self._finalizer()
                 self._finalizer = None
-        if pool is not None:
-            pool.shutdown(wait=wait)
+            self._pool = None
 
     def __getstate__(self) -> dict[str, Any]:
         # Engines that carry their backend must stay picklable for the
@@ -254,3 +252,31 @@ def resolve_backend(
     if name == "thread":
         return ThreadBackend(resolved)
     return ProcessBackend(resolved)
+
+
+#: One backend per resolved ``(name, jobs)``; see :func:`shared_backend`.
+_shared: dict[tuple[str, int], ExecBackend] = {}
+_shared_lock = threading.Lock()
+
+
+def shared_backend(
+    name: str | None = None, jobs: int | None = None
+) -> ExecBackend:
+    """The process's one backend for ``name`` and ``jobs``.
+
+    Resolved as :func:`resolve_backend` resolves them; every caller asking
+    for the same resolved setting gets the same backend, and so the same
+    worker pool.
+    """
+    backend = resolve_backend(name, jobs)
+    with _shared_lock:
+        return _shared.setdefault((backend.name, backend.jobs), backend)
+
+
+def close_shared_backends() -> None:
+    """Shut every shared backend's pool down and forget it (tests)."""
+    with _shared_lock:
+        backends = list(_shared.values())
+        _shared.clear()
+    for backend in backends:
+        backend.close()

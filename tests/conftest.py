@@ -38,12 +38,16 @@ def _isolated_artifact_cache(tmp_path_factory) -> None:
 
 @pytest.fixture(autouse=True)
 def _empty_design_store() -> None:
-    """Start every test with an empty design store, as a one-shot CLI
-    process does: a design an earlier test stored would otherwise serve
-    this one without its set-up spans or artifact reads."""
+    """Start every test with an empty design store and no shared worker
+    pool, as a one-shot CLI process does: a design an earlier test stored
+    would otherwise serve this one without its set-up spans or artifact
+    reads, and the workers of a pool an earlier test started were forked
+    before this test's patches."""
     from repro.core.store import clear_design_store
+    from repro.exec.backends import close_shared_backends
 
     clear_design_store()
+    close_shared_backends()
 
 
 @pytest.fixture(scope="session")

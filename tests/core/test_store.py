@@ -32,6 +32,7 @@ from repro.core.store import (
     stored_analyzer,
 )
 from repro.errors import ConfigurationError
+from repro.exec.backends import close_shared_backends
 from repro.io.design_json import setup_from_dict, setup_to_dict
 from repro.payloads import dump_payload
 from repro.service.requests import JobRequest, run_job
@@ -190,6 +191,9 @@ def test_supply_voltages_share_one_design():
     )
     assert nominal.design is raised.design
     assert nominal is not raised
+    assert stored_analyzer(
+        floorplan, config=AnalysisConfig(grid_size=6, vdd=1.3)
+    ) is raised
     assert raised.config.vdd == 1.3
     assert design_store_stats()["entries"] == 1
 
@@ -340,19 +344,21 @@ def test_lru_eviction_keeps_the_store_within_its_bound(monkeypatch):
     assert design_store_stats()["evictions"] == 3
 
 
-def test_lazy_parts_and_points_are_charged_when_built():
-    analyzer = stored_analyzer(make_benchmark("C1"), config=AnalysisConfig(grid_size=6))
+def test_lazy_parts_are_counted_when_their_design_is_next_served():
+    floorplan = make_benchmark("C1")
+    config = AnalysisConfig(grid_size=6)
+    analyzer = stored_analyzer(floorplan, config=config)
     before = design_store_stats()["bytes"]
     table = analyzer.hybrid._tables
+    assert stored_analyzer(floorplan, config=config) is analyzer
     assert design_store_stats()["bytes"] >= before + table.nbytes
-    # A point at explicit temperatures is not kept, so it is not charged.
+    # A point at explicit temperatures is not kept, so it is not counted.
     stored = design_store_stats()["bytes"]
     point = stored_analyzer(
-        make_benchmark("C1"),
-        config=AnalysisConfig(grid_size=6),
-        block_temperatures=np.full(8, 80.0),
+        floorplan, config=config, block_temperatures=np.full(8, 80.0)
     )
     point.lifetime(10.0, method="hybrid")
+    stored_analyzer(floorplan, config=config)
     assert design_store_stats()["bytes"] == stored
 
 
@@ -384,25 +390,26 @@ def test_a_stored_analyzer_pickles():
     analyzer = stored_analyzer(make_benchmark("C1"), config=AnalysisConfig(grid_size=6))
     want = {m: analyzer.lifetime(10.0, method=m) for m in ("st_fast", "hybrid")}
     copy = pickle.loads(pickle.dumps(analyzer))
-    assert copy._charge is None and copy.design._charge is None
     assert {m: copy.lifetime(10.0, method=m) for m in want} == want
     assert copy.at(copy.block_temperatures + 5.0).lifetime(10.0) == (
         analyzer.at(analyzer.block_temperatures + 5.0).lifetime(10.0)
     )
 
 
-def test_clearing_the_store_stops_its_process_workers():
+def test_designs_share_one_worker_pool_per_backend_setting():
     before = {child.pid for child in multiprocessing.active_children()}
-    analyzer = stored_analyzer(
-        make_benchmark("C1"),
-        config=AnalysisConfig(
-            grid_size=6, exec_backend="process", exec_jobs=2, mc_shard_size=16
-        ),
+    config = AnalysisConfig(
+        grid_size=6, exec_backend="process", exec_jobs=2, mc_shard_size=16
     )
-    analyzer.mc_lifetime(100.0, n_chips=64, seed=1)
+    analyzers = [
+        stored_analyzer(make_benchmark(design), config=config)
+        for design in ("C1", "C2")
+    ]
+    for analyzer in analyzers:
+        analyzer.mc_lifetime(100.0, n_chips=64, seed=1)
+    assert analyzers[0].exec_backend is analyzers[1].exec_backend
     started = {child.pid for child in multiprocessing.active_children()} - before
-    assert started
-    del analyzer
-    clear_design_store()
+    assert len(started) == 2
+    close_shared_backends()
     alive = {child.pid for child in multiprocessing.active_children()}
     assert not started & alive
